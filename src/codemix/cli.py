@@ -28,7 +28,7 @@ def _reading(path: str) -> Iterator[IO[str]]:
     if path == "-":
         yield sys.stdin
     else:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             yield fh
 
 
@@ -59,15 +59,17 @@ def _print_json(doc: dict, out: IO[str]) -> None:
     out.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
 
 
-def _load_corpus(args: argparse.Namespace, tag_role: str = "gold") -> list[corpus.Document]:
+def _load_corpus(
+    args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None
+) -> list[corpus.Document]:
     with _reading(args.input) as fh:
         return corpus.load(
             fh,
             format=args.input_format,
             text_field=args.text_field,
             id_field=args.id_field,
-            tag_field=args.tag_field,
-            tag_role=tag_role,
+            tag_field=tag_field,
+            pred_field=pred_field,
         )
 
 
@@ -84,8 +86,10 @@ def _add_corpus_args(parser: argparse.ArgumentParser, tag_field: str = "tags") -
 
 def _cmd_train(args: argparse.Namespace) -> int:
     with _reading(args.input) as fh:
-        lines = fh.read().splitlines()
-    profile = langid.train(lines, args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha)
+        lines = (line for raw in fh for line in raw.splitlines())
+        profile = langid.train(
+            lines, args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
+        )
     langid.save_profile(profile, args.out)
     return 0
 
@@ -143,7 +147,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     profiles = langid.load_profile_set(args.profiles)
-    docs = _load_corpus(args)
+    docs = _load_corpus(args, args.tag_field)
     with _writing(args.out) as out:
         for doc in docs:
             result = detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars)
@@ -152,14 +156,14 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_dedupe(args: argparse.Namespace) -> int:
-    docs = corpus.dedupe(_load_corpus(args))
+    docs = corpus.dedupe(_load_corpus(args, args.tag_field))
     with _writing(args.out) as out:
         corpus.save_jsonl(docs, out)
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args, tag_role="pred")
+    docs = _load_corpus(args, None, args.tag_field)
     stratum = None
     if args.stratum is not None:
         stratum = corpus.exact_tag_stratum(args.stratum)
@@ -172,10 +176,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tags_of(docs: Sequence[corpus.Document], field: str) -> list[detector.LanguageTag]:
+def _tags_of(
+    docs: Sequence[corpus.Document], attr: str, field: str
+) -> list[detector.LanguageTag]:
+    """The ``attr`` tag ("gold_tag" or "pred_tag") of every document, read from ``field``."""
     tags = []
     for doc in docs:
-        tag = doc.gold_tag or doc.pred_tag
+        tag = getattr(doc, attr)
         if tag is None:
             raise MissingField(f"document {doc.id!r} has no {field!r} tag")
         tags.append(tag)
@@ -183,10 +190,9 @@ def _tags_of(docs: Sequence[corpus.Document], field: str) -> list[detector.Langu
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args)
-    tags = _tags_of(docs, args.tag_field)
-    proportions = corpus.label_distribution(tags, classes=args.classes)
-    counts = {label: round(p * len(tags)) for label, p in proportions.items()}
+    tags = _tags_of(_load_corpus(args, args.tag_field), "gold_tag", args.tag_field)
+    counts = corpus.label_distribution(tags, classes=args.classes)
+    proportions = {label: c / len(tags) for label, c in counts.items()}
     with _writing(args.out) as out:
         if args.format == "json":
             _print_json(
@@ -202,22 +208,15 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     with _reading(args.input) as fh:
-        text = fh.read()
-    gold_docs = corpus.load(
-        iter(text.splitlines(keepends=True)),
-        text_field=args.text_field,
-        id_field=args.id_field,
-        tag_field=args.gold_field,
-    )
-    pred_docs = corpus.load(
-        iter(text.splitlines(keepends=True)),
-        text_field=args.text_field,
-        id_field=args.id_field,
-        tag_field=args.pred_field,
-        tag_role="pred",
-    )
-    gold = _tags_of(gold_docs, args.gold_field)
-    pred = _tags_of(pred_docs, args.pred_field)
+        docs = corpus.load(
+            fh,
+            text_field=args.text_field,
+            id_field=args.id_field,
+            tag_field=args.gold_field,
+            pred_field=args.pred_field,
+        )
+    gold = _tags_of(docs, "gold_tag", args.gold_field)
+    pred = _tags_of(docs, "pred_tag", args.pred_field)
 
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
@@ -231,8 +230,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args)
-    label, freq = evaluation.majority_class(_tags_of(docs, args.tag_field))
+    docs = _load_corpus(args, args.tag_field)
+    label, freq = evaluation.majority_class(_tags_of(docs, "gold_tag", args.tag_field))
     with _writing(args.out) as out:
         if args.format == "json":
             _print_json({"majority_class": label, "baseline_accuracy": freq}, out)
@@ -388,7 +387,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (CodemixError, OSError) as exc:
+    except (CodemixError, OSError, UnicodeDecodeError) as exc:
         print(f"codemix {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

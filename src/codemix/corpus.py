@@ -12,7 +12,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, Iterable, Sequence
+from typing import Callable, IO, Iterable, Iterator, Sequence
 
 from . import textnorm
 from .detector import LanguageTag
@@ -66,75 +66,66 @@ def _parse_tag(value: object, line: int) -> LanguageTag | None:
         raise ParseError(str(exc), line) from exc
 
 
-def _make_document(
-    record: dict,
-    index: int,
-    line: int,
-    text_field: str,
-    id_field: str | None,
-    tag_field: str | None,
-    tag_role: str,
-) -> Document:
-    if text_field not in record or record[text_field] is None:
-        raise MissingField(f"line {line}: record has no {text_field!r} field")
-    text = record[text_field]
-    if not isinstance(text, str):
-        raise ParseError(f"field {text_field!r} is not a string", line)
-
-    if id_field is not None:
-        if id_field not in record or record[id_field] in (None, ""):
-            raise MissingField(f"line {line}: record has no {id_field!r} field")
-        doc_id = str(record[id_field])
-    else:
-        fallback = record.get("id")
-        doc_id = str(fallback) if fallback not in (None, "") else str(index)
-
-    tag = _parse_tag(record.get(tag_field), line) if tag_field else None
-    if tag_role == "pred":
-        return Document(id=doc_id, text=text, pred_tag=tag)
-    return Document(id=doc_id, text=text, gold_tag=tag)
-
-
 def load(
     source: str | Path | IO[str],
     format: str = "jsonl",
     text_field: str = "text",
     id_field: str | None = None,
     tag_field: str | None = "tags",
-    tag_role: str = "gold",
+    pred_field: str | None = None,
 ) -> list[Document]:
-    """Read a corpus file into Documents.
+    """Read a corpus file into Documents in one pass.
 
-    Records without an id get the 0-based record index rendered in decimal.
-    ``tag_role`` says whether the tag column holds gold or predicted labels
-    ("gold" or "pred"). Raises ParseError (with line number), MissingField,
-    or InvalidConfig for an unknown format/role.
+    ``tag_field`` fills each Document's gold tag and ``pred_field`` its
+    predicted tag; None leaves that tag unset. Records without an id get
+    the 0-based record index rendered in decimal. A file opened by path may
+    start with a UTF-8 BOM. Raises ParseError (with line number),
+    MissingField, or InvalidConfig for an unknown format.
     """
     if format not in ("jsonl", "csv"):
         raise InvalidConfig(f"unknown corpus format {format!r}")
-    if tag_role not in ("gold", "pred"):
-        raise InvalidConfig(f"unknown tag role {tag_role!r}")
 
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return load(fh, format, text_field, id_field, tag_field, tag_role)
+        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
+            return load(fh, format, text_field, id_field, tag_field, pred_field)
 
-    docs = (
-        _load_jsonl(source, text_field, id_field, tag_field, tag_role)
+    records = (
+        _jsonl_records(source)
         if format == "jsonl"
-        else _load_csv(source, text_field, id_field, tag_field, tag_role)
+        else _csv_records(source, text_field, id_field)
     )
+    docs: list[Document] = []
     seen: set[str] = set()
-    for doc in docs:
-        if doc.id in seen:
-            raise ParseError(f"duplicate document id {doc.id!r}")
-        seen.add(doc.id)
+    for index, (line, record) in enumerate(records):
+        if text_field not in record or record[text_field] is None:
+            raise MissingField(f"line {line}: record has no {text_field!r} field")
+        text = record[text_field]
+        if not isinstance(text, str):
+            raise ParseError(f"field {text_field!r} is not a string", line)
+
+        if id_field is not None:
+            if id_field not in record or record[id_field] in (None, ""):
+                raise MissingField(f"line {line}: record has no {id_field!r} field")
+            doc_id = str(record[id_field])
+        else:
+            fallback = record.get("id")
+            doc_id = str(fallback) if fallback not in (None, "") else str(index)
+        if doc_id in seen:
+            raise ParseError(f"duplicate document id {doc_id!r}")
+        seen.add(doc_id)
+
+        docs.append(
+            Document(
+                id=doc_id,
+                text=text,
+                gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
+                pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
+            )
+        )
     return docs
 
 
-def _load_jsonl(fh, text_field, id_field, tag_field, tag_role) -> list[Document]:
-    docs: list[Document] = []
-    index = 0
+def _jsonl_records(fh: IO[str]) -> Iterator[tuple[int, dict]]:
     for line_no, line in enumerate(fh, 1):
         if not line.strip():
             continue
@@ -144,30 +135,22 @@ def _load_jsonl(fh, text_field, id_field, tag_field, tag_role) -> list[Document]
             raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
         if not isinstance(record, dict):
             raise ParseError("record is not a JSON object", line_no)
-        docs.append(
-            _make_document(record, index, line_no, text_field, id_field, tag_field, tag_role)
-        )
-        index += 1
-    return docs
+        yield line_no, record
 
 
-def _load_csv(fh, text_field, id_field, tag_field, tag_role) -> list[Document]:
+def _csv_records(
+    fh: IO[str], text_field: str, id_field: str | None
+) -> Iterator[tuple[int, dict]]:
     try:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
-            return []
+            return
         if text_field not in reader.fieldnames:
             raise MissingField(f"CSV header has no {text_field!r} column")
         if id_field is not None and id_field not in reader.fieldnames:
             raise MissingField(f"CSV header has no {id_field!r} column")
-        docs: list[Document] = []
-        for index, row in enumerate(reader):
-            docs.append(
-                _make_document(
-                    row, index, reader.line_num, text_field, id_field, tag_field, tag_role
-                )
-            )
-        return docs
+        for row in reader:
+            yield reader.line_num, row
     except csv.Error as exc:
         raise ParseError(f"invalid CSV: {exc}") from exc
 
@@ -255,31 +238,39 @@ def pair_stratum(langs: Iterable[str]) -> TagPredicate:
     )
 
 
-def label_distribution(
-    tags: Sequence[LanguageTag],
-    classes: Sequence[str] | None = None,
-) -> dict[str, float]:
-    """Proportion of each composite class among ``tags``.
+def _class_of(tag: LanguageTag, scheme: set[str] | None) -> str:
+    label = tag.class_label()
+    if scheme is not None and label not in scheme:
+        return OTHER_CLASS
+    return label
 
-    Every distinct tag set is a class, labelled by its sorted comma-joined
-    codes. When ``classes`` is declared, tags outside it are bucketed into
-    "other" and every declared class appears in the result (possibly 0.0).
-    Proportions sum to 1.
-    """
-    if not tags:
-        raise EmptyInput("no tags to summarize")
-    counts: Counter[str] = Counter(tag.class_label() for tag in tags)
-    total = len(tags)
 
-    if classes is None:
-        return {label: counts[label] / total for label in sorted(counts)}
-
-    declared = [LanguageTag.parse(c).class_label() for c in classes]
+def _declared_classes(class_scheme: Sequence[str]) -> list[str]:
+    """Canonicalize a declared class list; "other" is reserved for the bucket."""
+    declared = [LanguageTag.parse(c).class_label() for c in class_scheme]
     if OTHER_CLASS in declared:
         raise InvalidConfig(f"{OTHER_CLASS!r} is the bucket class and cannot be declared")
     if len(set(declared)) != len(declared):
-        raise InvalidConfig(f"duplicate classes in scheme: {list(classes)}")
-    result = {label: counts.get(label, 0) / total for label in declared}
-    bucketed = sum(c for label, c in counts.items() if label not in result)
-    result[OTHER_CLASS] = bucketed / total
-    return result
+        raise InvalidConfig(f"duplicate classes in scheme: {list(class_scheme)}")
+    return declared
+
+
+def label_distribution(
+    tags: Sequence[LanguageTag],
+    classes: Sequence[str] | None = None,
+) -> dict[str, int]:
+    """Count of each composite class among ``tags``.
+
+    Every distinct tag set is a class, labelled by its sorted comma-joined
+    codes; classes come in label order. When ``classes`` is declared, the
+    result holds every declared class in declared order (possibly 0) and
+    then "other", the count of tags outside them. Counts sum to len(tags).
+    """
+    if not tags:
+        raise EmptyInput("no tags to summarize")
+    if classes is None:
+        return dict(sorted(Counter(tag.class_label() for tag in tags).items()))
+    declared = _declared_classes(classes)
+    scheme = set(declared)
+    counts = Counter(_class_of(tag, scheme) for tag in tags)
+    return {label: counts[label] for label in [*declared, OTHER_CLASS]}

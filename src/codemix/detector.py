@@ -7,20 +7,17 @@ the tag means the document code-switches.
 """
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import langid, textnorm
 from .errors import EmptyTokens, InvalidConfig
-from .langid import Prediction, ProfileSet, UND
+from .langid import LANG_CODE_RE, Prediction, ProfileSet, UND
 
 if TYPE_CHECKING:
     from .corpus import Document
 
 DEFAULT_CHUNKS = 4
-
-_CODE_RE = re.compile(r"^[a-z]{2,8}$")
 
 
 class LanguageTag:
@@ -36,7 +33,7 @@ class LanguageTag:
     def __init__(self, langs: Iterable[str]):
         seen: list[str] = []
         for code in langs:
-            if not _CODE_RE.match(code):
+            if not LANG_CODE_RE.match(code):
                 raise InvalidConfig(f"bad language code in tag: {code!r}")
             if code not in seen:
                 seen.append(code)
@@ -84,7 +81,11 @@ class ChunkResult:
     index: int
     text: str
     prediction: Prediction
-    reliable: bool
+
+    @property
+    def reliable(self) -> bool:
+        """Whether the chunk got a language rather than "und"."""
+        return self.prediction.lang != UND
 
 
 @dataclass(frozen=True)
@@ -151,9 +152,7 @@ def detect(
     for index, chunk_tokens in enumerate(split_chunks(tokens, k)):
         chunk_text = " ".join(chunk_tokens)
         top = langid.identify(chunk_text, profiles, min_chars)[0]
-        chunk_results.append(
-            ChunkResult(index=index, text=chunk_text, prediction=top, reliable=top.lang != UND)
-        )
+        chunk_results.append(ChunkResult(index=index, text=chunk_text, prediction=top))
     tag = aggregate([c.prediction.lang for c in chunk_results])
     return DetectionResult(
         doc_id=doc.id,

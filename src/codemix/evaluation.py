@@ -8,18 +8,16 @@ p-value comes from the local survival function (no statistics package).
 """
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from .corpus import OTHER_CLASS
+from .corpus import OTHER_CLASS, _class_of, _declared_classes, label_distribution
 from .detector import LanguageTag
 from .errors import (
     DimensionMismatch,
     DomainError,
     EmptyInput,
     EmptyMatrix,
-    InvalidConfig,
     LengthMismatch,
     ZeroExpected,
 )
@@ -79,23 +77,6 @@ class ChiSquareResult:
     statistic: float
     df: int
     p_value: float
-
-
-def _class_of(tag: LanguageTag, scheme: set[str] | None) -> str:
-    label = tag.class_label()
-    if scheme is not None and label not in scheme:
-        return OTHER_CLASS
-    return label
-
-
-def _declared_classes(class_scheme: Sequence[str]) -> list[str]:
-    """Canonicalize a declared class list; "other" is reserved for the bucket."""
-    declared = [LanguageTag.parse(c).class_label() for c in class_scheme]
-    if OTHER_CLASS in declared:
-        raise InvalidConfig(f"{OTHER_CLASS!r} is the bucket class and cannot be declared")
-    if len(set(declared)) != len(declared):
-        raise InvalidConfig(f"duplicate classes in scheme: {list(class_scheme)}")
-    return declared
 
 
 def confusion(
@@ -173,7 +154,7 @@ def majority_class(gold: Sequence[LanguageTag]) -> tuple[str, float]:
     """The most frequent gold class and its frequency (ties: first label)."""
     if not gold:
         raise EmptyInput("no gold tags")
-    counts = Counter(tag.class_label() for tag in gold)
+    counts = label_distribution(gold)
     label = min(counts, key=lambda c: (-counts[c], c))
     return label, counts[label] / len(gold)
 

@@ -39,11 +39,12 @@ DEFAULT_N_MAX = 4
 DEFAULT_ALPHA = 0.5
 DEFAULT_MIN_CHARS = 3
 
-_LANG_RE = re.compile(r"^[a-z]{2,8}$")
+#: A language code: 2-8 lowercase ASCII letters.
+LANG_CODE_RE = re.compile(r"^[a-z]{2,8}$")
 
 
 def _check_lang(lang: str) -> str:
-    if not _LANG_RE.match(lang):
+    if not LANG_CODE_RE.match(lang):
         raise InvalidConfig(
             f"language code must be 2-8 lowercase ASCII letters, got {lang!r}"
         )

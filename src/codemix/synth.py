@@ -9,15 +9,13 @@ gold tags are unambiguous by construction.
 from __future__ import annotations
 
 import random
-import re
 from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document
 from .detector import LanguageTag
 from .errors import InvalidSpec
-
-_CODE_RE = re.compile(r"^[a-z]{2,8}$")
+from .langid import LANG_CODE_RE, UND
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,7 @@ class MixSpec:
 
     def __post_init__(self) -> None:
         for code in (self.lang_a, self.lang_b):
-            if not _CODE_RE.match(code) or code == "und":
+            if not LANG_CODE_RE.match(code) or code == UND:
                 raise InvalidSpec(f"bad language code {code!r}")
         if self.lang_a == self.lang_b:
             raise InvalidSpec("the two languages must differ")

@@ -6,6 +6,9 @@ from codemix import langid
 
 LETTERS_A = "abcdefghij"
 LETTERS_B = "qrstuvwxyz"
+# Two alphabets sharing "hijklm", so the two languages score close.
+LETTERS_C = "abcdefghijklm"
+LETTERS_D = "hijklmnopqrst"
 
 POOL_SEED = 20240615
 
@@ -30,6 +33,17 @@ def synthetic_languages():
     pool_b = make_pool(rng, LETTERS_B)
     lines_a = make_lines(rng, pool_a)
     lines_b = make_lines(rng, pool_b)
+    return {"xa": (pool_a, lines_a), "xb": (pool_b, lines_b)}
+
+
+@pytest.fixture(scope="session")
+def overlapping_languages():
+    """Two synthetic languages over overlapping alphabets, word pools disjoint."""
+    rng = random.Random(POOL_SEED + 1)
+    pool_a = make_pool(rng, LETTERS_C, n_words=60)
+    pool_b = tuple(w for w in make_pool(rng, LETTERS_D, n_words=60) if w not in pool_a)
+    lines_a = make_lines(rng, pool_a, n_lines=80)
+    lines_b = make_lines(rng, pool_b, n_lines=80)
     return {"xa": (pool_a, lines_a), "xb": (pool_b, lines_b)}
 
 

@@ -5,14 +5,17 @@ prints a single PASS line when it holds (run with -s or -rP to see them).
 """
 import json
 import math
+import os
 import random
 import subprocess
 import sys
 import time
 import unicodedata
+from pathlib import Path
 
 import pytest
 
+import codemix
 from codemix import langid, synth
 from codemix.cli import run
 from codemix.corpus import Document, SampleSpec, sample
@@ -176,6 +179,9 @@ def test_sampling_determinism(tmp_path):
     with open(corpus_path, "w", encoding="utf-8") as fh:
         for d in docs:
             fh.write(json.dumps({"id": d.id, "text": d.text}) + "\n")
+    # the fresh interpreters import the same codemix package as this one
+    package_root = str(Path(codemix.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     outputs = []
     for attempt in ("one", "two"):
         out = tmp_path / f"sample-{attempt}.jsonl"
@@ -184,6 +190,7 @@ def test_sampling_determinism(tmp_path):
              "--input", str(corpus_path), "--n", "400", "--seed", "42",
              "--out", str(out)],
             capture_output=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
         )
         assert proc.returncode == 0, proc.stderr
         outputs.append(out.read_bytes())

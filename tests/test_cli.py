@@ -78,6 +78,30 @@ class TestOperationalErrors:
         assert run(["chisq", "--observed", "1,2", "--expected", "0.5,0.0"]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--lang", "xa"],
+            ["identify", "--profiles", "{profiles}"],
+            ["detect", "--profiles", "{profiles}"],
+            ["dedupe"],
+            ["sample", "--n", "1"],
+            ["distribution"],
+            ["evaluate"],
+            ["baseline"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_invalid_utf8_is_one_line_error(self, tmp_path, profile_dir, capsys, argv):
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(b'{"id": "1", "text": "ok"}\n{"id": "2", "text": "\xff\xfe"}\n')
+        argv = [a.format(profiles=profile_dir) for a in argv]
+        code = run([*argv, "--input", str(src), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"codemix {argv[0]}: error:")
+        assert len(err.splitlines()) == 1
+
 
 class TestTrain:
     def test_writes_loadable_profile(self, tmp_path):
@@ -213,6 +237,47 @@ class TestPipeline:
         records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
         assert len(records) == 20
         assert all(set(r["tags"].split(",")) == {"xa", "xb"} for r in records)
+
+    def test_evaluate_reads_what_detect_writes(self, tmp_path, profile_dir, synthetic_languages,
+                                               capsys):
+        # detect writes U+2028 and U+0085 raw; str.splitlines would cut those records
+        pool_a = synthetic_languages["xa"][0]
+        pool_b = synthetic_languages["xb"][0]
+        src = tmp_path / "corpus.jsonl"
+        src.write_text(
+            json.dumps({"id": "1", "text": f"{' '.join(pool_a[:6])}\u2028{' '.join(pool_b[:6])}",
+                        "tags": "xa,xb"}) + "\n"
+            + json.dumps({"id": "2", "text": f"{' '.join(pool_a[6:12])}\x85{pool_a[12]}",
+                          "tags": "xa"}) + "\n",
+            encoding="utf-8",
+        )
+        tagged = tmp_path / "tagged.jsonl"
+        assert run(["detect", "--profiles", str(profile_dir), "--input", str(src),
+                    "--out", str(tagged)]) == 0
+        assert "\u2028" in tagged.read_text(encoding="utf-8")
+        assert run(["evaluate", "--input", str(tagged), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["total"] == 2
+        assert doc["accuracy"] == 1.0
+
+    @pytest.mark.parametrize(
+        "fmt, body",
+        [
+            ("jsonl", '{"id": "1", "text": "a b", "tags": "xa"}\n{"id": "2", "text": "c", "tags": "xa,xb"}\n'),
+            ("csv", 'text,id,tags\na b,1,xa\nc,2,"xa,xb"\n'),
+        ],
+        ids=["jsonl", "csv"],
+    )
+    def test_utf8_bom_is_accepted(self, tmp_path, capsys, fmt, body):
+        outputs = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            src = tmp_path / f"{encoding}.{fmt}"
+            src.write_text(body, encoding=encoding)
+            assert run(["distribution", "--input", str(src), "--input-format", fmt,
+                        "--format", "json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["counts"] == {"xa": 1, "xa,xb": 1}
 
     def test_sample_insufficient_population(self, synth_corpus, capsys):
         assert run(["sample", "--input", str(synth_corpus), "--n", "301",
