@@ -8,6 +8,7 @@ p-value comes from the local survival function (no statistics package).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -172,7 +173,8 @@ def chi_square_gof(
 
     Expected proportions are renormalized to sum to 1 (published tables
     often round), then E_i = N * p_i and the statistic is
-    sum((O_i - E_i)^2 / E_i) with df = categories - 1.
+    sum((O_i - E_i)^2 / E_i) with df = categories - 1. Raises DomainError
+    when a proportion or the statistic is not finite.
     """
     if len(observed) != len(expected_props):
         raise DimensionMismatch(
@@ -188,11 +190,18 @@ def chi_square_gof(
     if n <= 0:
         raise EmptyInput("observed counts sum to zero")
 
-    scale = sum(expected_props)
+    # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
+    scale = 0.0
+    for prop in expected_props:
+        scale += prop
+    if not math.isfinite(scale):
+        raise DomainError(f"expected proportions must have a finite sum: {list(expected_props)}")
     statistic = 0.0
     for o, prop in zip(observed, expected_props):
         e = n * (prop / scale)
-        statistic += (o - e) ** 2 / e
+        statistic += (o - e) ** 2 / e if e else math.inf
+    if not math.isfinite(statistic):
+        raise DomainError(f"chi-square statistic is not finite: {statistic}")
     df = len(observed) - 1
     return ChiSquareResult(statistic=statistic, df=df, p_value=chi2_sf(statistic, df))
 
@@ -211,7 +220,6 @@ def report_document(
     matrix: ConfusionMatrix,
     report: EvalReport,
     baseline: tuple[str, float] | None = None,
-    chi_square: ChiSquareResult | None = None,
 ) -> dict:
     """Single machine-readable document with every evaluation artifact."""
     doc: dict = {
@@ -229,13 +237,6 @@ def report_document(
     if baseline is not None:
         doc["majority_class"] = baseline[0]
         doc["majority_baseline"] = baseline[1]
-    if chi_square is not None:
-        doc["chi_square"] = {
-            "statistic": chi_square.statistic,
-            "df": chi_square.df,
-            "p_value": chi_square.p_value,
-            "p_display": format_p_value(chi_square.p_value),
-        }
     return doc
 
 
@@ -252,7 +253,6 @@ def render_report(
     matrix: ConfusionMatrix,
     report: EvalReport,
     baseline: tuple[str, float] | None = None,
-    chi_square: ChiSquareResult | None = None,
 ) -> str:
     """Aligned text tables: confusion matrix, per-class and summary metrics."""
     rows = [["gold \\ pred", *matrix.classes]]
@@ -274,8 +274,6 @@ def render_report(
     if baseline is not None:
         summary.append(["majority baseline", f"{baseline[1]:.4f} ({baseline[0]})"])
     out.append(_table(summary))
-    if chi_square is not None:
-        out += ["", render_chi_square(chi_square)]
     return "\n".join(out)
 
 

@@ -56,8 +56,8 @@ def _check_lang(lang: str) -> str:
 def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
     if not (1 <= n_min <= n_max <= 6):
         raise InvalidConfig(f"need 1 <= n_min <= n_max <= 6, got {n_min}..{n_max}")
-    if not alpha > 0:
-        raise InvalidConfig(f"smoothing constant must be positive, got {alpha}")
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise InvalidConfig(f"smoothing constant must be positive and finite, got {alpha}")
 
 
 def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
@@ -74,9 +74,9 @@ def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
 class LanguageProfile:
     """Trained n-gram model for one language.
 
-    counts maps each observed gram to its training count; total_per_order
-    keeps the total gram count at every order so smoothed probabilities
-    need no recounting. Immutable by convention once built.
+    counts maps each observed gram to its non-negative int training count.
+    One checked pass over it derives total_per_order and each order's
+    smoothing denominator. Immutable by convention once built.
     """
 
     lang: str
@@ -84,24 +84,28 @@ class LanguageProfile:
     n_max: int
     alpha: float
     counts: dict[str, int]
-    total_per_order: dict[int, int]
+    total_per_order: dict[int, int] = field(init=False)
     version: int = PROFILE_VERSION
 
-    # distinct grams per order, +1 slot for unseen grams; derived, not stored
-    _vocab: dict[int, int] = field(init=False, repr=False, compare=False)
+    # total + alpha * (distinct grams + 1 unseen slot), per order
+    _denom: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        vocab = {n: 1 for n in range(self.n_min, self.n_max + 1)}
-        for gram in self.counts:
-            vocab[len(gram)] += 1
-        self._vocab = vocab
+        orders = range(self.n_min, self.n_max + 1)
+        totals = dict.fromkeys(orders, 0)
+        vocab = dict.fromkeys(orders, 1)
+        for gram, c in self.counts.items():
+            n = len(gram)
+            if n not in totals or type(c) is not int or c < 0:
+                raise InvalidConfig(f"count table entry {gram!r}={c!r} out of bounds")
+            totals[n] += c
+            vocab[n] += 1
+        self.total_per_order = totals
+        self._denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
 
     def gram_log_prob(self, gram: str) -> float:
         """Additively smoothed log probability of one gram."""
-        n = len(gram)
-        numer = self.counts.get(gram, 0) + self.alpha
-        denom = self.total_per_order.get(n, 0) + self.alpha * self._vocab[n]
-        return math.log(numer / denom)
+        return math.log((self.counts.get(gram, 0) + self.alpha) / self._denom[len(gram)])
 
 
 @dataclass(frozen=True)
@@ -161,18 +165,7 @@ def train(
             counts.update(extract_ngrams(normalized, n_min, n_max))
     if not counts:
         raise EmptyCorpus(f"no usable text in training corpus for {lang!r}")
-
-    totals = {n: 0 for n in range(n_min, n_max + 1)}
-    for gram, c in counts.items():
-        totals[len(gram)] += c
-    return LanguageProfile(
-        lang=lang,
-        n_min=n_min,
-        n_max=n_max,
-        alpha=alpha,
-        counts=dict(counts),
-        total_per_order=totals,
-    )
+    return LanguageProfile(lang, n_min, n_max, alpha, counts=dict(counts))
 
 
 def score(text: str, profile: LanguageProfile) -> float:
@@ -213,7 +206,10 @@ def identify(
     scored = [(lang, score(normalized, p)) for lang, p in profiles.profiles.items()]
     peak = max(s for _, s in scored)
     weights = [(lang, s, math.exp(s - peak)) for lang, s in scored]
-    denom = sum(w for _, _, w in weights)
+    # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
+    denom = 0.0
+    for _, _, w in weights:
+        denom += w
     predictions = [Prediction(lang, s, w / denom) for lang, s, w in weights]
     predictions.sort(key=lambda p: (-p.avg_log_likelihood, p.lang))
     return predictions
@@ -240,53 +236,52 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
     Path(path).write_text(profile_to_json(profile), encoding="utf-8")
 
 
+#: JSON types each profile field must have; bool is not a number here.
+_FIELD_TYPES = {
+    "lang": (str,),
+    "n_min": (int,),
+    "n_max": (int,),
+    "alpha": (int, float),
+    "total_per_order": (dict,),
+    "counts": (dict,),
+}
+
+
+def _reject_constant(name: str) -> float:
+    raise ValueError(f"non-finite number {name}")
+
+
 def load_profile(path: str | Path) -> LanguageProfile:
-    """Read a profile file, checking version and count consistency."""
-    raw = Path(path).read_text(encoding="utf-8")
+    """Read a profile file, checking its types, version and totals."""
     try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
         raise ProfileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProfileError(f"{path}: expected a JSON object")
 
     version = doc.get("version")
-    if version != PROFILE_VERSION:
+    if type(version) is not int or version != PROFILE_VERSION:
         raise ProfileError(
             f"{path}: unsupported profile version {version!r}, expected {PROFILE_VERSION}"
         )
-    try:
-        lang = doc["lang"]
-        n_min = int(doc["n_min"])
-        n_max = int(doc["n_max"])
-        alpha = float(doc["alpha"])
-        totals = {int(n): int(t) for n, t in doc["total_per_order"].items()}
-        counts = {str(g): int(c) for g, c in doc["counts"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProfileError(f"{path}: malformed profile: {exc}") from exc
+    for key, kinds in _FIELD_TYPES.items():
+        if type(doc.get(key)) not in kinds:
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise ProfileError(f"{path}: malformed profile: {key!r} must be {expected}")
 
+    lang, n_min, n_max, alpha = doc["lang"], doc["n_min"], doc["n_max"], doc["alpha"]
     try:
         _check_lang(lang)
         _check_orders(n_min, n_max, alpha)
-    except InvalidConfig as exc:
+        profile = LanguageProfile(lang, n_min, n_max, alpha, counts=doc["counts"])
+    except (InvalidConfig, OverflowError) as exc:
         raise ProfileError(f"{path}: {exc}") from exc
-
-    recomputed = {n: 0 for n in range(n_min, n_max + 1)}
-    for gram, c in counts.items():
-        if not n_min <= len(gram) <= n_max or c < 0:
-            raise ProfileError(f"{path}: count table entry {gram!r}={c} out of bounds")
-        recomputed[len(gram)] += c
-    if recomputed != totals:
+    totals = doc["total_per_order"]
+    derived = {str(n): t for n, t in profile.total_per_order.items()}
+    if totals != derived or any(type(t) is not int for t in totals.values()):
         raise ProfileError(f"{path}: per-order totals disagree with count table")
-
-    return LanguageProfile(
-        lang=lang,
-        n_min=n_min,
-        n_max=n_max,
-        alpha=alpha,
-        counts=counts,
-        total_per_order=totals,
-    )
+    return profile
 
 
 def load_profile_set(directory: str | Path) -> ProfileSet:

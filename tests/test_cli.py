@@ -1,4 +1,6 @@
+import builtins
 import json
+import math
 
 import pytest
 
@@ -101,6 +103,47 @@ class TestOperationalErrors:
         err = capsys.readouterr().err
         assert err.startswith(f"codemix {argv[0]}: error:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--lang", "xa", "--input", "{pool}", "--alpha", "inf"],
+            ["chisq", "--observed", "10,10", "--expected", "nan,0.5"],
+            ["chisq", "--observed", "10,10", "--expected", "1e-320,0.5"],
+            ["chisq", "--observed", "10,10", "--expected", "inf,0.5"],
+        ],
+        ids=["train-alpha-inf", "chisq-nan", "chisq-subnormal", "chisq-inf"],
+    )
+    def test_non_finite_number_is_one_line_error(self, tmp_path, capsys, argv):
+        pool = tmp_path / "pool.txt"
+        pool.write_text("some training text\n", encoding="utf-8")
+        out = tmp_path / "out"
+        argv = [a.format(pool=pool) for a in argv]
+        assert run([*argv, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lang", 5), ("counts", []), ("version", True), ("n_min", 1.9), ("alpha", math.inf)],
+    )
+    def test_malformed_profile_is_one_line_error(
+        self, tmp_path, profile_dir, capsys, key, value
+    ):
+        path = profile_dir / "xa.profile"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        src = tmp_path / "lines.txt"
+        src.write_text("abcdef ghij\n", encoding="utf-8")
+        code = run(["identify", "--profiles", str(profile_dir), "--input", str(src),
+                    "--format", "json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
 
 
 class TestTrain:
@@ -283,3 +326,52 @@ class TestPipeline:
         assert run(["sample", "--input", str(synth_corpus), "--n", "301",
                     "--seed", "0"]) == 1
         capsys.readouterr()
+
+
+_builtin_sum = builtins.sum
+
+
+def compensated_sum(items, start=0):
+    """sum() as Python 3.12+ computes it over floats (Neumaier, CPython gh-100425)."""
+    items = list(items)
+    if not any(isinstance(x, float) for x in items):
+        return _builtin_sum(items, start)
+    total, comp = float(start), 0.0
+    for x in items:
+        t = total + x
+        comp += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + comp if comp and math.isfinite(comp) else total
+
+
+def test_output_does_not_depend_on_float_sum(
+    tmp_path, capsys, monkeypatch, synthetic_languages, overlapping_languages
+):
+    profile_dir = tmp_path / "profiles"
+    profile_dir.mkdir()
+    pools = {
+        "xa": synthetic_languages["xa"],
+        "xb": synthetic_languages["xb"],
+        "xc": overlapping_languages["xa"],
+    }
+    for lang, (_, lines) in pools.items():
+        langid.save_profile(langid.train(lines, lang), profile_dir / f"{lang}.profile")
+    # one word of each language per line, so all three confidences matter
+    src = tmp_path / "lines.txt"
+    src.write_text(
+        "".join(f"{a} {b} {c}\n" for a, b, c in zip(*(pool[:20] for pool, _ in pools.values()))),
+        encoding="utf-8",
+    )
+    commands = [
+        ["identify", "--profiles", str(profile_dir), "--input", str(src), "--format", "json"],
+        ["chisq", "--observed", "10,10,10", "--expected", "0.7,0.2,0.1", "--format", "json"],
+    ]
+
+    def outputs():
+        for argv in commands:
+            assert run(argv) == 0
+        return capsys.readouterr().out
+
+    plain = outputs()
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert outputs() == plain

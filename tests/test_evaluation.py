@@ -256,13 +256,11 @@ class TestReporting:
             matrix,
             metrics(matrix),
             baseline=majority_class([A, A, B, B]),
-            chi_square=chi_square_gof([60, 40], [0.5, 0.5]),
         )
         assert doc["classes"] == ["aa", "bb"]
         assert doc["matrix"] == [[1, 1], [0, 2]]
         assert doc["accuracy"] == 0.75
         assert doc["majority_baseline"] == 0.5
-        assert doc["chi_square"]["df"] == 1
 
     def test_render_report_is_aligned_text(self):
         matrix = confusion([A, A, B, B], [A, B, B, B])

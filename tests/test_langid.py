@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -70,6 +71,8 @@ class TestTrain:
             {"n_min": 1, "n_max": 7},
             {"alpha": 0.0},
             {"alpha": -1.0},
+            {"alpha": math.inf},
+            {"alpha": math.nan},
         ],
     )
     def test_invalid_config(self, kwargs):
@@ -167,7 +170,6 @@ class TestIdentify:
             n_max=profile.n_max,
             alpha=profile.alpha,
             counts=dict(profile.counts),
-            total_per_order=dict(profile.total_per_order),
         )
         predictions = identify("shared corpus", ProfileSet({"xx": profile, "ww": twin}))
         assert [p.lang for p in predictions] == ["ww", "xx"]
@@ -254,9 +256,48 @@ class TestProfileIO:
         with pytest.raises(ProfileError):
             load_profile(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lang", 5),
+            ("counts", []),
+            ("version", True),
+            ("n_min", 1.9),
+            ("alpha", math.inf),
+            ("alpha", math.nan),
+            ("a gram's count", True),
+            ("a gram's count", 1.5),
+            ("a gram's count", -1),
+        ],
+    )
+    def test_strict_document(self, tmp_path, key, value):
+        profile = train(["umntwana uyakhala kakhulu"], "zu")
+        doc = json.loads(profile_to_json(profile))
+        if key == "a gram's count":
+            # a gram seen once, so 1 == True == int(1.5) keeps the totals in agreement
+            once = next(gram for gram, c in profile.counts.items() if c == 1)
+            doc["counts"][once] = value
+        else:
+            doc[key] = value
+        path = tmp_path / "zu.profile"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ProfileError):
+            load_profile(path)
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.profile"
         path.write_text("not a profile", encoding="utf-8")
+        with pytest.raises(ProfileError):
+            load_profile(path)
+
+    @pytest.mark.parametrize(
+        "raw",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["invalid-utf8", "deeply-nested"],
+    )
+    def test_undecodable_json(self, tmp_path, raw):
+        path = tmp_path / "bad.profile"
+        path.write_bytes(raw)
         with pytest.raises(ProfileError):
             load_profile(path)
 
