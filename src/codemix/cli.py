@@ -12,33 +12,14 @@ Exit codes: 0 success, 1 operational error (bad input or file),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from contextlib import contextmanager
-from typing import IO, Iterator, Sequence
+from typing import IO, Sequence
 
 from . import corpus, detector, evaluation, langid, synth
 from .errors import CodemixError, MissingField
+from .fileio import dumps, open_text
 
 SEED_DEFAULT = 0
-
-
-@contextmanager
-def _reading(path: str) -> Iterator[IO[str]]:
-    if path == "-":
-        yield sys.stdin
-    else:
-        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-            yield fh
-
-
-@contextmanager
-def _writing(path: str) -> Iterator[IO[str]]:
-    if path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
 
 
 def _comma_ints(text: str) -> list[int]:
@@ -56,21 +37,20 @@ def _comma_floats(text: str) -> list[float]:
 
 
 def _print_json(doc: dict, out: IO[str]) -> None:
-    out.write(json.dumps(doc, ensure_ascii=False, indent=2) + "\n")
+    out.write(dumps(doc, indent=2) + "\n")
 
 
 def _load_corpus(
     args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None
 ) -> list[corpus.Document]:
-    with _reading(args.input) as fh:
-        return corpus.load(
-            fh,
-            format=args.input_format,
-            text_field=args.text_field,
-            id_field=args.id_field,
-            tag_field=tag_field,
-            pred_field=pred_field,
-        )
+    return corpus.load(
+        args.input,
+        format=args.input_format,
+        text_field=args.text_field,
+        id_field=args.id_field,
+        tag_field=tag_field,
+        pred_field=pred_field,
+    )
 
 
 def _add_corpus_args(parser: argparse.ArgumentParser, tag_field: str = "tags") -> None:
@@ -85,7 +65,7 @@ def _add_corpus_args(parser: argparse.ArgumentParser, tag_field: str = "tags") -
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    with _reading(args.input) as fh:
+    with open_text(args.input) as fh:
         lines = (line for raw in fh for line in raw.splitlines())
         profile = langid.train(
             lines, args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
@@ -96,29 +76,12 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     profiles = langid.load_profile_set(args.profiles)
-    with _reading(args.input) as fh:
-        lines = fh.read().splitlines()
-    with _writing(args.out) as out:
+    with open_text(args.input) as fh, open_text(args.out, "w") as out:
+        lines = (line for raw in fh for line in raw.splitlines())
         for i, line in enumerate(lines):
             predictions = langid.identify(line, profiles, min_chars=args.min_chars)
             if args.format == "json":
-                out.write(
-                    json.dumps(
-                        {
-                            "line": i,
-                            "predictions": [
-                                {
-                                    "lang": p.lang,
-                                    "avg_log_likelihood": p.avg_log_likelihood,
-                                    "confidence": p.confidence,
-                                }
-                                for p in predictions
-                            ],
-                        },
-                        ensure_ascii=False,
-                    )
-                    + "\n"
-                )
+                out.write(dumps({"line": i, "predictions": [vars(p) for p in predictions]}) + "\n")
             else:
                 ranking = " ".join(f"{p.lang}:{p.confidence:.4f}" for p in predictions)
                 out.write(f"{i}\t{predictions[0].lang}\t{ranking}\n")
@@ -132,14 +95,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
     record["chunks"] = [
-        {
-            "index": c.index,
-            "text": c.text,
-            "lang": c.prediction.lang,
-            "avg_log_likelihood": c.prediction.avg_log_likelihood,
-            "confidence": c.prediction.confidence,
-            "reliable": c.reliable,
-        }
+        {"index": c.index, "text": c.text, **vars(c.prediction), "reliable": c.reliable}
         for c in result.chunks
     ]
     return record
@@ -148,17 +104,15 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
 def _cmd_detect(args: argparse.Namespace) -> int:
     profiles = langid.load_profile_set(args.profiles)
     docs = _load_corpus(args, args.tag_field)
-    with _writing(args.out) as out:
+    with open_text(args.out, "w") as out:
         for doc in docs:
             result = detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars)
-            out.write(json.dumps(_detection_record(doc, result), ensure_ascii=False) + "\n")
+            out.write(dumps(_detection_record(doc, result)) + "\n")
     return 0
 
 
 def _cmd_dedupe(args: argparse.Namespace) -> int:
-    docs = corpus.dedupe(_load_corpus(args, args.tag_field))
-    with _writing(args.out) as out:
-        corpus.save_jsonl(docs, out)
+    corpus.save_jsonl(corpus.dedupe(_load_corpus(args, args.tag_field)), args.out)
     return 0
 
 
@@ -170,9 +124,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     elif args.pairs_of is not None:
         stratum = corpus.pair_stratum(args.pairs_of.split(","))
     spec = corpus.SampleSpec(n=args.n, seed=args.seed, stratum=stratum)
-    sampled = corpus.sample(docs, spec)
-    with _writing(args.out) as out:
-        corpus.save_jsonl(sampled, out)
+    corpus.save_jsonl(corpus.sample(docs, spec), args.out)
     return 0
 
 
@@ -193,7 +145,7 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     tags = _tags_of(_load_corpus(args, args.tag_field), "gold_tag", args.tag_field)
     counts = corpus.label_distribution(tags, classes=args.classes)
     proportions = {label: c / len(tags) for label, c in counts.items()}
-    with _writing(args.out) as out:
+    with open_text(args.out, "w") as out:
         if args.format == "json":
             _print_json(
                 {"total": len(tags), "counts": counts, "proportions": proportions}, out
@@ -207,21 +159,20 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    with _reading(args.input) as fh:
-        docs = corpus.load(
-            fh,
-            text_field=args.text_field,
-            id_field=args.id_field,
-            tag_field=args.gold_field,
-            pred_field=args.pred_field,
-        )
+    docs = corpus.load(
+        args.input,
+        text_field=args.text_field,
+        id_field=args.id_field,
+        tag_field=args.gold_field,
+        pred_field=args.pred_field,
+    )
     gold = _tags_of(docs, "gold_tag", args.gold_field)
     pred = _tags_of(docs, "pred_tag", args.pred_field)
 
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
     baseline = evaluation.majority_class(gold)
-    with _writing(args.out) as out:
+    with open_text(args.out, "w") as out:
         if args.format == "json":
             _print_json(evaluation.report_document(matrix, report, baseline=baseline), out)
         else:
@@ -232,7 +183,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     docs = _load_corpus(args, args.tag_field)
     label, freq = evaluation.majority_class(_tags_of(docs, "gold_tag", args.tag_field))
-    with _writing(args.out) as out:
+    with open_text(args.out, "w") as out:
         if args.format == "json":
             _print_json({"majority_class": label, "baseline_accuracy": freq}, out)
         else:
@@ -243,26 +194,19 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
     result = evaluation.chi_square_gof(args.observed, args.expected)
-    with _writing(args.out) as out:
+    with open_text(args.out, "w") as out:
         if args.format == "json":
-            _print_json(
-                {
-                    "statistic": result.statistic,
-                    "df": result.df,
-                    "p_value": result.p_value,
-                    "p_display": evaluation.format_p_value(result.p_value),
-                },
-                out,
-            )
+            p_display = evaluation.format_p_value(result.p_value)
+            _print_json({**vars(result), "p_display": p_display}, out)
         else:
             out.write(evaluation.render_chi_square(result) + "\n")
     return 0
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    with _reading(args.source_a) as fh:
+    with open_text(args.source_a) as fh:
         pool_a = tuple(fh.read().split())
-    with _reading(args.source_b) as fh:
+    with open_text(args.source_b) as fh:
         pool_b = tuple(fh.read().split())
     spec = synth.MixSpec(
         lang_a=args.lang_a,
@@ -274,8 +218,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         tokens_per_doc=args.tokens_per_doc,
         seed=args.seed,
     )
-    with _writing(args.out) as out:
-        corpus.save_jsonl(synth.generate(spec), out)
+    corpus.save_jsonl(synth.generate(spec), args.out)
     return 0
 
 
@@ -387,7 +330,7 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.handler(args)
-    except (CodemixError, OSError, UnicodeDecodeError) as exc:
+    except (CodemixError, OSError, UnicodeError) as exc:
         print(f"codemix {args.command}: error: {exc}", file=sys.stderr)
         return 1
 

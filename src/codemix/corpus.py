@@ -7,14 +7,13 @@ codes). CSV with configurable column names is accepted on input.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, IO, Iterable, Iterator, Sequence
 
-from . import textnorm
+from . import fileio, textnorm
 from .detector import LanguageTag
 from .errors import (
     EmptyInput,
@@ -78,50 +77,48 @@ def load(
 
     ``tag_field`` fills each Document's gold tag and ``pred_field`` its
     predicted tag; None leaves that tag unset. Records without an id get
-    the 0-based record index rendered in decimal. A file opened by path may
-    start with a UTF-8 BOM. Raises ParseError (with line number),
+    the 0-based record index rendered in decimal. ``source`` is a path, "-"
+    for stdin, or an open text file; a file opened by path may start with
+    a UTF-8 BOM. Raises ParseError (with line number),
     MissingField, or InvalidConfig for an unknown format.
     """
     if format not in ("jsonl", "csv"):
         raise InvalidConfig(f"unknown corpus format {format!r}")
 
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8-sig", newline="") as fh:
-            return load(fh, format, text_field, id_field, tag_field, pred_field)
-
-    records = (
-        _jsonl_records(source)
-        if format == "jsonl"
-        else _csv_records(source, text_field, id_field)
-    )
-    docs: list[Document] = []
-    seen: set[str] = set()
-    for index, (line, record) in enumerate(records):
-        if text_field not in record or record[text_field] is None:
-            raise MissingField(f"line {line}: record has no {text_field!r} field")
-        text = record[text_field]
-        if not isinstance(text, str):
-            raise ParseError(f"field {text_field!r} is not a string", line)
-
-        if id_field is not None:
-            if id_field not in record or record[id_field] in (None, ""):
-                raise MissingField(f"line {line}: record has no {id_field!r} field")
-            doc_id = str(record[id_field])
-        else:
-            fallback = record.get("id")
-            doc_id = str(fallback) if fallback not in (None, "") else str(index)
-        if doc_id in seen:
-            raise ParseError(f"duplicate document id {doc_id!r}")
-        seen.add(doc_id)
-
-        docs.append(
-            Document(
-                id=doc_id,
-                text=text,
-                gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
-                pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
-            )
+    with fileio.open_text(source) as fh:
+        records = (
+            _jsonl_records(fh)
+            if format == "jsonl"
+            else _csv_records(fh, text_field, id_field)
         )
+        docs: list[Document] = []
+        seen: set[str] = set()
+        for index, (line, record) in enumerate(records):
+            if text_field not in record or record[text_field] is None:
+                raise MissingField(f"line {line}: record has no {text_field!r} field")
+            text = record[text_field]
+            if not isinstance(text, str):
+                raise ParseError(f"field {text_field!r} is not a string", line)
+
+            if id_field is not None:
+                if id_field not in record or record[id_field] in (None, ""):
+                    raise MissingField(f"line {line}: record has no {id_field!r} field")
+                doc_id = str(record[id_field])
+            else:
+                fallback = record.get("id")
+                doc_id = str(fallback) if fallback not in (None, "") else str(index)
+            if doc_id in seen:
+                raise ParseError(f"duplicate document id {doc_id!r}")
+            seen.add(doc_id)
+
+            docs.append(
+                Document(
+                    id=doc_id,
+                    text=text,
+                    gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
+                    pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
+                )
+            )
     return docs
 
 
@@ -130,9 +127,9 @@ def _jsonl_records(fh: IO[str]) -> Iterator[tuple[int, dict]]:
         if not line.strip():
             continue
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc.msg}", line_no) from exc
+            record = fileio.loads(line)
+        except ValueError as exc:
+            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
         if not isinstance(record, dict):
             raise ParseError("record is not a JSON object", line_no)
         yield line_no, record
@@ -166,12 +163,9 @@ def document_record(doc: Document) -> dict:
 
 def save_jsonl(docs: Iterable[Document], sink: str | Path | IO[str]) -> None:
     """Write Documents in the interchange JSONL format."""
-    if isinstance(sink, (str, Path)):
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            save_jsonl(docs, fh)
-        return
-    for doc in docs:
-        sink.write(json.dumps(document_record(doc), ensure_ascii=False) + "\n")
+    with fileio.open_text(sink, "w") as fh:
+        for doc in docs:
+            fh.write(fileio.dumps(document_record(doc)) + "\n")
 
 
 def dedupe(docs: Sequence[Document]) -> list[Document]:

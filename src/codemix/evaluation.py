@@ -174,7 +174,8 @@ def chi_square_gof(
     Expected proportions are renormalized to sum to 1 (published tables
     often round), then E_i = N * p_i and the statistic is
     sum((O_i - E_i)^2 / E_i) with df = categories - 1. Raises DomainError
-    when a proportion or the statistic is not finite.
+    when a proportion or the statistic is not finite, or when a count or
+    a term does not fit in a float.
     """
     if len(observed) != len(expected_props):
         raise DimensionMismatch(
@@ -197,9 +198,12 @@ def chi_square_gof(
     if not math.isfinite(scale):
         raise DomainError(f"expected proportions must have a finite sum: {list(expected_props)}")
     statistic = 0.0
-    for o, prop in zip(observed, expected_props):
-        e = n * (prop / scale)
-        statistic += (o - e) ** 2 / e if e else math.inf
+    try:
+        for o, prop in zip(observed, expected_props):
+            e = n * (prop / scale)
+            statistic += (o - e) ** 2 / e if e else math.inf
+    except OverflowError as exc:
+        raise DomainError(f"a count or chi-square term does not fit in a float: {exc}") from exc
     if not math.isfinite(statistic):
         raise DomainError(f"chi-square statistic is not finite: {statistic}")
     df = len(observed) - 1
@@ -229,10 +233,7 @@ def report_document(
         "accuracy": report.accuracy,
         "weighted_precision": report.weighted_precision,
         "weighted_recall": report.weighted_recall,
-        "per_class": {
-            label: {"precision": c.precision, "recall": c.recall, "support": c.support}
-            for label, c in report.per_class.items()
-        },
+        "per_class": {label: vars(c) for label, c in report.per_class.items()},
     }
     if baseline is not None:
         doc["majority_class"] = baseline[0]

@@ -11,7 +11,6 @@ save -> load -> save round trip is byte-identical.
 """
 from __future__ import annotations
 
-import json
 import math
 import re
 from collections import Counter
@@ -19,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from . import textnorm
+from . import fileio, textnorm
 from .errors import (
     EmptyCorpus,
     EmptyProfileSet,
@@ -229,11 +228,12 @@ def profile_to_json(profile: LanguageProfile) -> str:
         "total_per_order": {str(n): t for n, t in profile.total_per_order.items()},
         "counts": profile.counts,
     }
-    return json.dumps(doc, ensure_ascii=False, sort_keys=True, indent=1) + "\n"
+    return fileio.dumps(doc, sort_keys=True, indent=1) + "\n"
 
 
 def save_profile(profile: LanguageProfile, path: str | Path) -> None:
-    Path(path).write_text(profile_to_json(profile), encoding="utf-8")
+    with fileio.open_text(path, "w") as fh:
+        fh.write(profile_to_json(profile))
 
 
 #: JSON types each profile field must have; bool is not a number here.
@@ -247,15 +247,12 @@ _FIELD_TYPES = {
 }
 
 
-def _reject_constant(name: str) -> float:
-    raise ValueError(f"non-finite number {name}")
-
-
 def load_profile(path: str | Path) -> LanguageProfile:
     """Read a profile file, checking its types, version and totals."""
     try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_reject_constant)
-    except (ValueError, RecursionError) as exc:
+        with fileio.open_text(path) as fh:
+            doc = fileio.loads(fh.read())
+    except ValueError as exc:
         raise ProfileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ProfileError(f"{path}: expected a JSON object")

@@ -111,8 +111,11 @@ class TestOperationalErrors:
             ["chisq", "--observed", "10,10", "--expected", "nan,0.5"],
             ["chisq", "--observed", "10,10", "--expected", "1e-320,0.5"],
             ["chisq", "--observed", "10,10", "--expected", "inf,0.5"],
+            ["chisq", "--observed", f"{10**200},1", "--expected", "0.5,0.5"],
+            ["chisq", "--observed", f"{10**155},1", "--expected", "0.5,0.5"],
         ],
-        ids=["train-alpha-inf", "chisq-nan", "chisq-subnormal", "chisq-inf"],
+        ids=["train-alpha-inf", "chisq-nan", "chisq-subnormal", "chisq-inf",
+             "chisq-count-1e200", "chisq-term-overflow"],
     )
     def test_non_finite_number_is_one_line_error(self, tmp_path, capsys, argv):
         pool = tmp_path / "pool.txt"
@@ -144,6 +147,38 @@ class TestOperationalErrors:
         captured = capsys.readouterr()
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (["evaluate"], '{"text": ' + "[" * 100_000 + "]" * 100_000 + "}"),
+            (["distribution"], '{"id": "1", "text": "abc", "tags": Infinity}'),
+            (["distribution"], '{"id": NaN, "text": "abc", "tags": "xa"}'),
+        ],
+        ids=["deep-nesting", "tags-infinity", "id-nan"],
+    )
+    def test_malformed_record_is_one_line_error(self, tmp_path, capsys, argv, record):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(f'{{"id": "0", "text": "ok", "tags": "xa", "pred": "xa"}}\n{record}\n',
+                       encoding="utf-8")
+        code = run([*argv, "--input", str(src), "--format", "json"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"codemix {argv[0]}: error: line 2: invalid JSON")
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv", [["detect", "--profiles", "{profiles}"], ["dedupe"]], ids=lambda a: a[0]
+    )
+    def test_lone_surrogate_is_one_line_error(self, tmp_path, profile_dir, capsys, argv):
+        src = tmp_path / "surrogate.jsonl"
+        src.write_text('{"id": "1", "text": "\\ud800 hello", "tags": "xa"}\n', encoding="utf-8")
+        argv = [a.format(profiles=profile_dir) for a in argv]
+        assert run([*argv, "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"codemix {argv[0]}: error:")
+        assert len(err.splitlines()) == 1
 
 
 class TestTrain:
@@ -180,6 +215,18 @@ class TestChisq:
 
 
 class TestIdentify:
+    def test_profile_may_start_with_bom(self, tmp_path, profile_dir, capsys):
+        src = tmp_path / "lines.txt"
+        src.write_text("abcdef ghij\nqrstu vwxyz\n", encoding="utf-8")
+        argv = ["identify", "--profiles", str(profile_dir), "--input", str(src),
+                "--format", "json"]
+        assert run(argv) == 0
+        plain = capsys.readouterr().out
+        for path in profile_dir.iterdir():
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert run(argv) == 0
+        assert capsys.readouterr().out == plain
+
     def test_lines_get_ranked(self, tmp_path, profile_dir, synthetic_languages, capsys):
         pool_a = synthetic_languages["xa"][0]
         pool_b = synthetic_languages["xb"][0]

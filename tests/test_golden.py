@@ -125,3 +125,70 @@ def test_every_output_is_pinned(outputs):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_golden_output(outputs, name):
     assert _sha(outputs[name]) == GOLDEN[name]
+
+
+# Three languages, so each softmax and chi-square sum has more than two terms.
+GOLDEN_THREE = {
+    "identify_json": "1ebd21989b47966eb4531b3c4c55137d23b311d46006b6110d2db87ba61af218",
+    "detect_k12": "75d2a2862b79a74cd63672365ce594065c93f844edbe007094b42cbdc594e520",
+    "chisq_json": "6a74eef5a1b402c2afc2faf430113cdb614c71173ccdf0ad9581d93b958e0029",
+}
+
+
+@pytest.fixture(scope="module")
+def outputs_three(tmp_path_factory, synthetic_languages, overlapping_languages):
+    """identify, detect and chisq over three languages; map each output name to its bytes."""
+    d = tmp_path_factory.mktemp("golden_three")
+    pools = {
+        "xa": synthetic_languages["xa"],
+        "xb": synthetic_languages["xb"],
+        "xc": overlapping_languages["xa"],
+    }
+    out = {}
+
+    def cli(name, *argv):
+        path = d / name
+        assert run([*argv, "--out", str(path)]) == 0, name
+        out[name] = path.read_bytes()
+        return path
+
+    profiles = d / "profiles"
+    profiles.mkdir()
+    for lang, (_, lines) in pools.items():
+        src = d / f"{lang}.txt"
+        src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run(["train", "--lang", lang, "--input", str(src),
+                    "--out", str(profiles / f"{lang}.profile")]) == 0
+
+    # one word of each language per line, so all three confidences matter
+    words = list(zip(*(pool[:20] for pool, _ in pools.values())))
+    lines = d / "lines.txt"
+    lines.write_text("".join(f"{a} {b} {c}\n" for a, b, c in words), encoding="utf-8")
+    cli("identify_json", "identify", "--profiles", str(profiles), "--input", str(lines),
+        "--format", "json")
+
+    # each record runs through the three pools in turn, from a different word on
+    corpus = d / "corpus.jsonl"
+    with corpus.open("w", encoding="utf-8") as fh:
+        for i in range(30):
+            text = " ".join(
+                pools[lang][0][(i * 7 + j) % 20]
+                for j in range(12 + i % 7)
+                for lang in [("xa", "xb", "xc")[(i + j // 4) % 3]]
+            )
+            fh.write(json.dumps({"id": f"m{i}", "text": text, "tags": "xa,xb,xc"}) + "\n")
+    cli("detect_k12", "detect", "--profiles", str(profiles), "--input", str(corpus),
+        "--chunks", "12")
+
+    cli("chisq_json", "chisq", "--observed", "10,10,10", "--expected", "0.7,0.2,0.1",
+        "--format", "json")
+    return out
+
+
+def test_every_three_language_output_is_pinned(outputs_three):
+    assert set(outputs_three) == set(GOLDEN_THREE)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_THREE))
+def test_golden_three_languages(outputs_three, name):
+    assert _sha(outputs_three[name]) == GOLDEN_THREE[name]
