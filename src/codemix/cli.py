@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Sequence
+from typing import IO, Iterable, Sequence
 
 from . import corpus, detector, evaluation, langid, synth
 from .errors import CodemixError, MissingField
-from .fileio import dumps, open_text
+from .fileio import dumps, open_text, write_jsonl
 
 SEED_DEFAULT = 0
 
@@ -40,10 +40,10 @@ def _print_json(doc: dict, out: IO[str]) -> None:
     out.write(dumps(doc, indent=2) + "\n")
 
 
-def _load_corpus(
-    args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None
-) -> list[corpus.Document]:
-    return corpus.load(
+def _read_corpus(
+    args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None, reader=corpus.iter_load
+) -> Iterable[corpus.Document]:
+    return reader(
         args.input,
         format=args.input_format,
         text_field=args.text_field,
@@ -103,21 +103,21 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     profiles = langid.load_profile_set(args.profiles)
-    docs = _load_corpus(args, args.tag_field)
-    with open_text(args.out, "w") as out:
-        for doc in docs:
-            result = detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars)
-            out.write(dumps(_detection_record(doc, result)) + "\n")
+    records = (
+        _detection_record(doc, detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars))
+        for doc in _read_corpus(args, args.tag_field)
+    )
+    write_jsonl(records, args.out)
     return 0
 
 
 def _cmd_dedupe(args: argparse.Namespace) -> int:
-    corpus.save_jsonl(corpus.dedupe(_load_corpus(args, args.tag_field)), args.out)
+    corpus.save_jsonl(corpus.dedupe(_read_corpus(args, args.tag_field)), args.out)
     return 0
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args, None, args.tag_field)
+    docs = _read_corpus(args, None, args.tag_field, corpus.load)
     stratum = None
     if args.stratum is not None:
         stratum = corpus.exact_tag_stratum(args.stratum)
@@ -128,21 +128,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tags_of(
-    docs: Sequence[corpus.Document], attr: str, field: str
-) -> list[detector.LanguageTag]:
-    """The ``attr`` tag ("gold_tag" or "pred_tag") of every document, read from ``field``."""
-    tags = []
-    for doc in docs:
-        tag = getattr(doc, attr)
-        if tag is None:
-            raise MissingField(f"document {doc.id!r} has no {field!r} tag")
-        tags.append(tag)
-    return tags
+def _tag_of(doc: corpus.Document, attr: str, field: str) -> detector.LanguageTag:
+    """The document's ``attr`` tag ("gold_tag" or "pred_tag"), read from ``field``."""
+    tag = getattr(doc, attr)
+    if tag is None:
+        raise MissingField(f"document {doc.id!r} has no {field!r} tag")
+    return tag
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    tags = _tags_of(_load_corpus(args, args.tag_field), "gold_tag", args.tag_field)
+    tags = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
     counts = corpus.label_distribution(tags, classes=args.classes)
     proportions = {label: c / len(tags) for label, c in counts.items()}
     with open_text(args.out, "w") as out:
@@ -159,15 +154,10 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
-    docs = corpus.load(
-        args.input,
-        text_field=args.text_field,
-        id_field=args.id_field,
-        tag_field=args.gold_field,
-        pred_field=args.pred_field,
-    )
-    gold = _tags_of(docs, "gold_tag", args.gold_field)
-    pred = _tags_of(docs, "pred_tag", args.pred_field)
+    gold, pred = [], []
+    for doc in _read_corpus(args, args.gold_field, args.pred_field):
+        gold.append(_tag_of(doc, "gold_tag", args.gold_field))
+        pred.append(_tag_of(doc, "pred_tag", args.pred_field))
 
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
@@ -181,8 +171,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    docs = _load_corpus(args, args.tag_field)
-    label, freq = evaluation.majority_class(_tags_of(docs, "gold_tag", args.tag_field))
+    gold = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
+    label, freq = evaluation.majority_class(gold)
     with open_text(args.out, "w") as out:
         if args.format == "json":
             _print_json({"majority_class": label, "baseline_accuracy": freq}, out)
@@ -291,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--classes", nargs="+", default=None)
     p.add_argument("--out", default="-")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_evaluate)
+    p.set_defaults(handler=_cmd_evaluate, input_format="jsonl")
 
     p = sub.add_parser("baseline", help="majority-class baseline accuracy of gold tags")
     _add_corpus_args(p)

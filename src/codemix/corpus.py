@@ -7,11 +7,12 @@ codes). CSV with configurable column names is accepted on input.
 from __future__ import annotations
 
 import csv
+import functools
 import random
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, IO, Iterable, Iterator, Sequence
+from typing import Any, Callable, IO, Iterable, Iterator, Sequence
 
 from . import fileio, textnorm
 from .detector import LanguageTag
@@ -53,6 +54,10 @@ class SampleSpec:
             raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed}")
 
 
+#: One shared LanguageTag per distinct tag text, so "zu,en" keeps its own order.
+_cached_tag = functools.lru_cache(maxsize=1024)(LanguageTag.parse)
+
+
 def _parse_tag(value: object, line: int) -> LanguageTag | None:
     if value is None:
         return None
@@ -60,27 +65,32 @@ def _parse_tag(value: object, line: int) -> LanguageTag | None:
     if not text:
         return None
     try:
-        return LanguageTag.parse(text)
+        return _cached_tag(text)
     except InvalidConfig as exc:
         raise ParseError(str(exc), line) from exc
 
 
-def load(
+def load(source: str | Path | IO[str], **options: Any) -> list[Document]:
+    """Read a whole corpus into a list; ``options`` are those of ``iter_load``."""
+    return list(iter_load(source, **options))
+
+
+def iter_load(
     source: str | Path | IO[str],
     format: str = "jsonl",
     text_field: str = "text",
     id_field: str | None = None,
     tag_field: str | None = "tags",
     pred_field: str | None = None,
-) -> list[Document]:
-    """Read a corpus file into Documents in one pass.
+) -> Iterator[Document]:
+    """Yield a corpus file's Documents one at a time, in file order.
 
     ``tag_field`` fills each Document's gold tag and ``pred_field`` its
     predicted tag; None leaves that tag unset. Records without an id get
     the 0-based record index rendered in decimal. ``source`` is a path, "-"
     for stdin, or an open text file; a file opened by path may start with
-    a UTF-8 BOM. Raises ParseError (with line number),
-    MissingField, or InvalidConfig for an unknown format.
+    a UTF-8 BOM. Raises ParseError (with line number), MissingField, or
+    InvalidConfig for an unknown format, when iteration reaches the fault.
     """
     if format not in ("jsonl", "csv"):
         raise InvalidConfig(f"unknown corpus format {format!r}")
@@ -91,7 +101,6 @@ def load(
             if format == "jsonl"
             else _csv_records(fh, text_field, id_field)
         )
-        docs: list[Document] = []
         seen: set[str] = set()
         for index, (line, record) in enumerate(records):
             if text_field not in record or record[text_field] is None:
@@ -111,15 +120,12 @@ def load(
                 raise ParseError(f"duplicate document id {doc_id!r}")
             seen.add(doc_id)
 
-            docs.append(
-                Document(
-                    id=doc_id,
-                    text=text,
-                    gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
-                    pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
-                )
+            yield Document(
+                id=doc_id,
+                text=text,
+                gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
+                pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
             )
-    return docs
 
 
 def _jsonl_records(fh: IO[str]) -> Iterator[tuple[int, dict]]:
@@ -163,12 +169,10 @@ def document_record(doc: Document) -> dict:
 
 def save_jsonl(docs: Iterable[Document], sink: str | Path | IO[str]) -> None:
     """Write Documents in the interchange JSONL format."""
-    with fileio.open_text(sink, "w") as fh:
-        for doc in docs:
-            fh.write(fileio.dumps(document_record(doc)) + "\n")
+    fileio.write_jsonl(map(document_record, docs), sink)
 
 
-def dedupe(docs: Sequence[Document]) -> list[Document]:
+def dedupe(docs: Iterable[Document]) -> list[Document]:
     """Keep the first document of each normalized-text equivalence class."""
     seen: set[str] = set()
     kept: list[Document] = []
@@ -180,7 +184,7 @@ def dedupe(docs: Sequence[Document]) -> list[Document]:
     return kept
 
 
-def sample(docs: Sequence[Document], spec: SampleSpec) -> list[Document]:
+def sample(docs: Iterable[Document], spec: SampleSpec) -> list[Document]:
     """Draw a uniform sample without replacement from the stratum.
 
     Selection sampling (Knuth's Algorithm S) driven purely by

@@ -24,23 +24,6 @@ from .errors import (
 )
 from .special import chi2_sf
 
-__all__ = [
-    "ConfusionMatrix",
-    "ClassMetrics",
-    "EvalReport",
-    "ChiSquareResult",
-    "confusion",
-    "metrics",
-    "majority_class",
-    "majority_baseline",
-    "chi_square_gof",
-    "chi2_sf",
-    "format_p_value",
-    "report_document",
-    "render_report",
-    "render_chi_square",
-]
-
 #: Human-readable reports never print a p-value smaller than this; they
 #: print "< 2.2e-16" instead. Machine output keeps the raw float.
 P_REPORT_FLOOR = 2.2e-16

@@ -8,10 +8,13 @@ Infinity are rejected on input and never written.
 from __future__ import annotations
 
 import json
+import os
+import stat
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import IO, Any, ContextManager
+from typing import IO, Any, ContextManager, Iterable, Iterator
 
 _TEXT_MODES = {
     "r": {"encoding": "utf-8-sig", "newline": ""},
@@ -23,13 +26,40 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
     """Open ``target`` for text reading ("r") or writing ("w").
 
     "-" is stdin or stdout, and a file that is already open passes through
-    unchanged; neither is closed on exit.
+    unchanged; neither is closed on exit. A file written by path (through any
+    symlink) is replaced only on a clean exit, unless it is special, like /dev/null.
     """
     if not isinstance(target, (str, Path)):
         return nullcontext(target)
     if target == "-":
         return nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    if mode == "w":
+        path = os.path.realpath(target)
+        if os.path.isfile(path) or not os.path.exists(path):
+            return _replacing(path)
     return open(target, mode, **_TEXT_MODES[mode])
+
+
+@contextmanager
+def _replacing(path: str) -> Iterator[IO[str]]:
+    """A temporary file beside ``path`` that becomes ``path`` on a clean exit."""
+    try:  # the mode bits an in-place write would leave
+        mode_bits = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        os.umask(umask := os.umask(0))
+        mode_bits = 0o666 & ~umask
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
+    try:
+        with open(fd, "w", **_TEXT_MODES["w"]) as fh:
+            os.chmod(tmp, mode_bits)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _reject_constant(name: str) -> float:
@@ -50,3 +80,13 @@ def loads(text: str) -> Any:
 def dumps(obj: Any, **layout: Any) -> str:
     """Strict JSON text with non-ASCII kept; ``layout`` is e.g. indent or sort_keys."""
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, **layout)
+
+
+def write_jsonl(records: Iterable[dict], sink: str | Path | IO[str]) -> None:
+    """Write one strict JSON line per record; a text UTF-8 cannot encode names its record id."""
+    with open_text(sink, "w") as fh:
+        for record in records:
+            try:
+                fh.write(dumps(record) + "\n")
+            except UnicodeEncodeError as exc:
+                raise UnicodeError(f"record {record.get('id')!r} is not UTF-8 text: {exc.reason}") from exc

@@ -1,6 +1,8 @@
 import builtins
 import json
 import math
+import os
+import stat
 
 import pytest
 
@@ -173,12 +175,69 @@ class TestOperationalErrors:
     )
     def test_lone_surrogate_is_one_line_error(self, tmp_path, profile_dir, capsys, argv):
         src = tmp_path / "surrogate.jsonl"
-        src.write_text('{"id": "1", "text": "\\ud800 hello", "tags": "xa"}\n', encoding="utf-8")
+        src.write_text('{"id": "a", "text": "good morning", "tags": "xa"}\n'
+                       '{"id": "b", "text": "\\ud800 hello", "tags": "xa"}\n', encoding="utf-8")
+        out = tmp_path / "out"
+        out.write_bytes(b"old output\n")
         argv = [a.format(profiles=profile_dir) for a in argv]
-        assert run([*argv, "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+        assert run([*argv, "--input", str(src), "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"codemix {argv[0]}: error:")
+        assert err.startswith(f"codemix {argv[0]}: error: record 'b' ")
         assert len(err.splitlines()) == 1
+        assert out.read_bytes() == b"old output\n"
+
+
+class TestAllOrNothingOutput:
+    """--out is replaced only when the command succeeds."""
+
+    COMMANDS = {
+        "detect": (["detect", "--profiles", "{profiles}"], '{"id": "a", "text": "abcdef"}\n{not json\n'),
+        "dedupe": (["dedupe"], '{"id": "a", "text": "abcdef"}\n{not json\n'),
+        "identify": (["identify", "--profiles", "{profiles}"], b"abcdef ghij\n" * 3000 + b"\xff\n"),
+        "train": (["train", "--lang", "xa"], b"abcdef ghij\n" * 3000 + b"\xff\n"),
+    }
+
+    @pytest.mark.parametrize("bad", ["bad-record", "missing-input"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_failure_leaves_old_out(self, tmp_path, profile_dir, capsys, command, bad):
+        argv, body = self.COMMANDS[command]
+        src = tmp_path / "input"
+        if bad == "bad-record":
+            src.write_bytes(body.encode() if isinstance(body, str) else body)
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        out = outdir / "out"
+        out.write_bytes(b"old output\n")
+        argv = [a.format(profiles=profile_dir) for a in argv]
+        assert run([*argv, "--input", str(src), "--out", str(out)]) == 1
+        assert len(capsys.readouterr().err.splitlines()) == 1
+        assert out.read_bytes() == b"old output\n"
+        assert os.listdir(outdir) == ["out"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
+    def test_dev_null_stays_a_device(self, synth_corpus):
+        assert run(["dedupe", "--input", str(synth_corpus), "--out", "/dev/null"]) == 0
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    def test_symlinked_out_replaces_the_linked_file(self, tmp_path, synth_corpus):
+        plain, target, link = tmp_path / "plain", tmp_path / "target", tmp_path / "link"
+        target.write_bytes(b"old output\n")
+        link.symlink_to(target)
+        assert run(["dedupe", "--input", str(synth_corpus), "--out", str(plain)]) == 0
+        assert run(["dedupe", "--input", str(synth_corpus), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == plain.read_bytes()
+
+    def test_out_mode_matches_an_in_place_write(self, tmp_path, synth_corpus):
+        reference, new, existing = tmp_path / "reference", tmp_path / "new", tmp_path / "existing"
+        with open(reference, "w"):
+            pass
+        existing.write_bytes(b"old output\n")
+        existing.chmod(0o640)
+        for out in (new, existing):
+            assert run(["dedupe", "--input", str(synth_corpus), "--out", str(out)]) == 0
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+        assert stat.S_IMODE(existing.stat().st_mode) == 0o640
 
 
 class TestTrain:

@@ -10,12 +10,15 @@ from codemix.corpus import (
     dedupe,
     document_record,
     exact_tag_stratum,
+    iter_load,
     label_distribution,
     load,
     pair_stratum,
     sample,
     save_jsonl,
 )
+from codemix import langid
+from codemix.cli import run
 from codemix.detector import LanguageTag
 from codemix.errors import (
     EmptyInput,
@@ -62,6 +65,13 @@ class TestLoadJsonl:
         bad = io.StringIO('{"text": "ok"}\n{not json\n')
         with pytest.raises(ParseError) as exc:
             load(bad)
+        assert exc.value.line == 2
+
+    def test_iter_load_yields_before_reading_the_rest(self):
+        text = '{"id": "a", "text": "ok"}\n' + "not json\n"
+        assert next(iter_load(io.StringIO(text))) == Document(id="a", text="ok")
+        with pytest.raises(ParseError) as exc:
+            load(io.StringIO(text))
         assert exc.value.line == 2
 
     def test_bad_tag_reports_line(self):
@@ -275,3 +285,23 @@ class TestLabelDistribution:
     def test_set_equal_tags_share_a_class(self):
         tags = [LanguageTag.parse("en,zu"), LanguageTag.parse("zu,en")]
         assert label_distribution(tags) == {"en,zu": 2}
+
+
+def test_tag_texts_keep_their_own_order(tmp_path, synthetic_languages, capsys):
+    """Tags parse once per distinct text, so set-equal texts stay apart."""
+    profiles = tmp_path / "profiles"
+    profiles.mkdir()
+    for lang, (_, lines) in synthetic_languages.items():
+        langid.save_profile(langid.train(lines, lang), profiles / f"{lang}.profile")
+    src = tmp_path / "corpus.jsonl"
+    src.write_text(
+        '{"id": "1", "text": "abcdef qrstuv", "tags": "xb,xa"}\n'
+        '{"id": "2", "text": "abcdef qrstuv", "tags": "xa,xb"}\n',
+        encoding="utf-8",
+    )
+    out = tmp_path / "detected.jsonl"
+    assert run(["detect", "--profiles", str(profiles), "--input", str(src), "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()]
+    assert [r["tags"] for r in records] == ["xb,xa", "xa,xb"]
+    assert run(["distribution", "--input", str(src), "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["counts"] == {"xa,xb": 2}
