@@ -70,9 +70,9 @@ def _parse_tag(value: object, line: int) -> LanguageTag | None:
         raise ParseError(str(exc), line) from exc
 
 
-def load(source: str | Path | IO[str], **options: Any) -> list[Document]:
-    """Read a whole corpus into a list; ``options`` are those of ``iter_load``."""
-    return list(iter_load(source, **options))
+def load(*args: Any, **kwargs: Any) -> list[Document]:
+    """Read a whole corpus into a list; the arguments are those of ``iter_load``."""
+    return list(iter_load(*args, **kwargs))
 
 
 def iter_load(

@@ -11,7 +11,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 from typing import IO, Any, ContextManager, Iterable, Iterator
@@ -33,9 +32,9 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
         return nullcontext(target)
     if target == "-":
         return nullcontext(sys.stdin if mode == "r" else sys.stdout)
-    if mode == "w":
+    if mode == "w":  # open() follows /dev/fd/N to a pipe that realpath cannot name
         path = os.path.realpath(target)
-        if os.path.isfile(path) or not os.path.exists(path):
+        if not os.path.exists(target) or os.path.isfile(target) and os.path.isfile(path):
             return _replacing(path)
     return open(target, mode, **_TEXT_MODES[mode])
 
@@ -43,18 +42,20 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
 @contextmanager
 def _replacing(path: str) -> Iterator[IO[str]]:
     """A temporary file beside ``path`` that becomes ``path`` on a clean exit."""
-    try:  # the mode bits an in-place write would leave
+    try:  # an in-place write needs write access and keeps the mode bits
+        os.close(os.open(path, os.O_WRONLY))
         mode_bits = stat.S_IMODE(os.stat(path).st_mode)
     except FileNotFoundError:
-        os.umask(umask := os.umask(0))
-        mode_bits = 0o666 & ~umask
-    try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=f".{os.path.basename(path)}.")
+        mode_bits = None
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.urandom(6).hex()}")
+    try:  # created like a new file: 0o666 less the umask
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from exc
     try:
         with open(fd, "w", **_TEXT_MODES["w"]) as fh:
-            os.chmod(tmp, mode_bits)
+            if mode_bits is not None:
+                os.fchmod(fd, mode_bits)
             yield fh
         os.replace(tmp, path)
     except BaseException:

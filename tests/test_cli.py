@@ -219,6 +219,32 @@ class TestAllOrNothingOutput:
         assert run(["dedupe", "--input", str(synth_corpus), "--out", "/dev/null"]) == 0
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
+    def test_pipe_out_is_written_directly(self, tmp_path):
+        src = tmp_path / "c.jsonl"
+        src.write_text('{"id": "a", "text": "abcdef"}\n', encoding="utf-8")
+        r, w = os.pipe()
+        try:
+            assert run(["dedupe", "--input", str(src), "--out", f"/dev/fd/{w}"]) == 0
+        finally:
+            os.close(w)
+        with os.fdopen(r, "rb") as fh:
+            assert fh.read() == src.read_bytes()
+
+    def test_read_only_out_fails_like_an_in_place_write(self, tmp_path, synth_corpus):
+        (tmp_path / "outdir").mkdir()
+        out = tmp_path / "outdir" / "out"
+        out.write_bytes(b"old output\n")
+        out.chmod(0o444)
+        try:  # root writes a 0o444 file in place; other users cannot
+            open(out, "r+").close()
+            code = 0
+        except PermissionError:
+            code = 1
+        assert run(["dedupe", "--input", str(synth_corpus), "--out", str(out)]) == code
+        assert (out.read_bytes() == b"old output\n") == (code == 1)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o444
+        assert os.listdir(tmp_path / "outdir") == ["out"]
+
     def test_symlinked_out_replaces_the_linked_file(self, tmp_path, synth_corpus):
         plain, target, link = tmp_path / "plain", tmp_path / "target", tmp_path / "link"
         target.write_bytes(b"old output\n")

@@ -1,6 +1,7 @@
 """codemix.fileio: the text-file policy and the strict JSON codec."""
 import io
 import math
+import os
 import sys
 
 import pytest
@@ -46,3 +47,13 @@ def test_open_text_passes_streams_through(monkeypatch):
         assert fh is sys.stdin
     with fileio.open_text("-", "w") as fh:
         assert fh is sys.stdout
+
+
+def test_open_text_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def umask(mask):
+        raise AssertionError("the umask is process-wide")
+
+    monkeypatch.setattr(os, "umask", umask)
+    with fileio.open_text(tmp_path / "new", "w") as fh:
+        fh.write("x\n")
+    assert (tmp_path / "new").read_bytes() == b"x\n"
