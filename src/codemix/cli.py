@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import IO, Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import corpus, detector, evaluation, langid, synth
 from .errors import CodemixError, MissingField
@@ -36,8 +36,18 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-joined numbers, got {text!r}") from exc
 
 
-def _print_json(doc: dict, out: IO[str]) -> None:
-    out.write(dumps(doc, indent=2) + "\n")
+def _report(args: argparse.Namespace, doc: dict, table: str) -> int:
+    """Write ``doc`` as JSON or ``table`` as text, as --format asks, to --out."""
+    with open_text(args.out, "w") as out:
+        out.write((dumps(doc, indent=2) if args.format == "json" else table) + "\n")
+    return 0
+
+
+def _lines(path: str) -> Iterator[str]:
+    """The lines of a text file, as str.splitlines cuts them."""
+    with open_text(path) as fh:
+        for raw in fh:
+            yield from raw.splitlines()
 
 
 def _read_corpus(
@@ -53,32 +63,21 @@ def _read_corpus(
     )
 
 
-def _add_corpus_args(parser: argparse.ArgumentParser, tag_field: str = "tags") -> None:
-    parser.add_argument("--input", required=True, help="corpus file, or - for stdin")
-    parser.add_argument("--input-format", choices=("jsonl", "csv"), default="jsonl")
-    parser.add_argument("--text-field", default="text")
-    parser.add_argument("--id-field", default=None)
-    parser.add_argument("--tag-field", default=tag_field)
-
-
 # --- subcommand handlers ---
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    with open_text(args.input) as fh:
-        lines = (line for raw in fh for line in raw.splitlines())
-        profile = langid.train(
-            lines, args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
-        )
+    profile = langid.train(
+        _lines(args.input), args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
+    )
     langid.save_profile(profile, args.out)
     return 0
 
 
 def _cmd_identify(args: argparse.Namespace) -> int:
     profiles = langid.load_profile_set(args.profiles)
-    with open_text(args.input) as fh, open_text(args.out, "w") as out:
-        lines = (line for raw in fh for line in raw.splitlines())
-        for i, line in enumerate(lines):
+    with open_text(args.out, "w") as out:
+        for i, line in enumerate(_lines(args.input)):
             predictions = langid.identify(line, profiles, min_chars=args.min_chars)
             if args.format == "json":
                 out.write(dumps({"line": i, "predictions": [vars(p) for p in predictions]}) + "\n")
@@ -140,17 +139,12 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     tags = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
     counts = corpus.label_distribution(tags, classes=args.classes)
     proportions = {label: c / len(tags) for label, c in counts.items()}
-    with open_text(args.out, "w") as out:
-        if args.format == "json":
-            _print_json(
-                {"total": len(tags), "counts": counts, "proportions": proportions}, out
-            )
-        else:
-            width = max(len(label) for label in proportions)
-            out.write(f"{'class'.ljust(width)}  count  proportion\n")
-            for label, p in proportions.items():
-                out.write(f"{label.ljust(width)}  {str(counts[label]).rjust(5)}  {p:.4f}\n")
-    return 0
+    width = max(map(len, proportions))
+    table = [f"{'class'.ljust(width)}  count  proportion"]
+    table += [f"{label.ljust(width)}  {str(counts[label]).rjust(5)}  {p:.4f}"
+              for label, p in proportions.items()]
+    doc = {"total": len(tags), "counts": counts, "proportions": proportions}
+    return _report(args, doc, "\n".join(table))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
@@ -162,51 +156,34 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
     baseline = evaluation.majority_class(gold)
-    with open_text(args.out, "w") as out:
-        if args.format == "json":
-            _print_json(evaluation.report_document(matrix, report, baseline=baseline), out)
-        else:
-            out.write(evaluation.render_report(matrix, report, baseline=baseline) + "\n")
-    return 0
+    return _report(
+        args,
+        evaluation.report_document(matrix, report, baseline=baseline),
+        evaluation.render_report(matrix, report, baseline=baseline),
+    )
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     gold = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
     label, freq = evaluation.majority_class(gold)
-    with open_text(args.out, "w") as out:
-        if args.format == "json":
-            _print_json({"majority_class": label, "baseline_accuracy": freq}, out)
-        else:
-            out.write(f"majority class      {label}\n")
-            out.write(f"baseline accuracy   {freq:.4f}\n")
-    return 0
+    doc = {"majority_class": label, "baseline_accuracy": freq}
+    return _report(args, doc, f"majority class      {label}\nbaseline accuracy   {freq:.4f}")
 
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
     result = evaluation.chi_square_gof(args.observed, args.expected)
-    with open_text(args.out, "w") as out:
-        if args.format == "json":
-            p_display = evaluation.format_p_value(result.p_value)
-            _print_json({**vars(result), "p_display": p_display}, out)
-        else:
-            out.write(evaluation.render_chi_square(result) + "\n")
-    return 0
+    doc = {**vars(result), "p_display": evaluation.format_p_value(result.p_value)}
+    return _report(args, doc, evaluation.render_chi_square(result))
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    with open_text(args.source_a) as fh:
-        pool_a = tuple(fh.read().split())
-    with open_text(args.source_b) as fh:
-        pool_b = tuple(fh.read().split())
+    pools = []
+    for path in (args.source_a, args.source_b):
+        with open_text(path) as fh:
+            pools.append(tuple(fh.read().split()))
     spec = synth.MixSpec(
-        lang_a=args.lang_a,
-        lang_b=args.lang_b,
-        source_a=pool_a,
-        source_b=pool_b,
-        n_docs=args.n_docs,
-        mix_rate=args.mix_rate,
-        tokens_per_doc=args.tokens_per_doc,
-        seed=args.seed,
+        args.lang_a, args.lang_b, *pools, n_docs=args.n_docs, mix_rate=args.mix_rate,
+        tokens_per_doc=args.tokens_per_doc, seed=args.seed,
     )
     corpus.save_jsonl(synth.generate(spec), args.out)
     return 0
@@ -222,39 +199,46 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train", help="train a character n-gram profile from text lines")
+    # flags shared by several subcommands, declared once as parent parsers
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default="-")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument("--format", choices=("table", "json"), default="table")
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--profiles", required=True, help="directory of *.profile files")
+    scoring.add_argument("--min-chars", type=int, default=langid.DEFAULT_MIN_CHARS)
+    corpus_in = argparse.ArgumentParser(add_help=False)
+    corpus_in.add_argument("--input", required=True, help="corpus file, or - for stdin")
+    corpus_in.add_argument("--input-format", choices=("jsonl", "csv"), default="jsonl")
+    corpus_in.add_argument("--text-field", default="text")
+    corpus_in.add_argument("--id-field", default=None)
+    corpus_in.add_argument("--tag-field", default="tags")
+
+    def command(name, handler, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("train", _cmd_train, "train a character n-gram profile from text lines")
     p.add_argument("--lang", required=True, help="language code, e.g. zu")
     p.add_argument("--input", required=True, help="training text, one line per example (- for stdin)")
     p.add_argument("--out", required=True, help="profile file to write")
     p.add_argument("--nmin", type=int, default=langid.DEFAULT_N_MIN)
     p.add_argument("--nmax", type=int, default=langid.DEFAULT_N_MAX)
     p.add_argument("--alpha", type=float, default=langid.DEFAULT_ALPHA)
-    p.set_defaults(handler=_cmd_train)
 
-    p = sub.add_parser("identify", help="identify the language of each input line")
-    p.add_argument("--profiles", required=True, help="directory of *.profile files")
+    p = command("identify", _cmd_identify, "identify the language of each input line",
+                scoring, report)
     p.add_argument("--input", required=True, help="text lines (- for stdin)")
-    p.add_argument("--out", default="-")
-    p.add_argument("--min-chars", type=int, default=langid.DEFAULT_MIN_CHARS)
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_identify)
 
-    p = sub.add_parser("detect", help="run chunked code-switching detection over a corpus")
-    p.add_argument("--profiles", required=True, help="directory of *.profile files")
-    _add_corpus_args(p)
-    p.add_argument("--out", default="-")
+    p = command("detect", _cmd_detect, "run chunked code-switching detection over a corpus",
+                scoring, corpus_in, out)
     p.add_argument("--chunks", type=int, default=detector.DEFAULT_CHUNKS)
-    p.add_argument("--min-chars", type=int, default=langid.DEFAULT_MIN_CHARS)
-    p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("dedupe", help="drop documents whose normalized text repeats")
-    _add_corpus_args(p)
-    p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_dedupe)
+    command("dedupe", _cmd_dedupe, "drop documents whose normalized text repeats", corpus_in, out)
 
-    p = sub.add_parser("sample", help="seeded uniform sample, optionally stratified by tag")
-    _add_corpus_args(p)
-    p.add_argument("--out", default="-")
+    p = command("sample", _cmd_sample, "seeded uniform sample, optionally stratified by tag",
+                corpus_in, out)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default 0)")
     group = p.add_mutually_exclusive_group()
@@ -263,40 +247,29 @@ def build_parser() -> argparse.ArgumentParser:
         "--pairs-of",
         help="two-language tags over these codes, e.g. en,zu,xh for the code-switched stratum",
     )
-    p.set_defaults(handler=_cmd_sample)
 
-    p = sub.add_parser("distribution", help="composite-tag distribution of a corpus")
-    _add_corpus_args(p)
-    p.add_argument("--out", default="-")
+    p = command("distribution", _cmd_distribution, "composite-tag distribution of a corpus",
+                corpus_in, report)
     p.add_argument("--classes", nargs="+", default=None, help="declared classes; rest bucket to 'other'")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_distribution)
 
-    p = sub.add_parser("evaluate", help="confusion matrix and metrics from a tagged corpus")
+    p = command("evaluate", _cmd_evaluate, "confusion matrix and metrics from a tagged corpus",
+                report)
     p.add_argument("--input", required=True, help="JSONL with gold and predicted tag fields")
     p.add_argument("--text-field", default="text")
     p.add_argument("--id-field", default=None)
     p.add_argument("--gold-field", default="tags")
     p.add_argument("--pred-field", default="pred")
     p.add_argument("--classes", nargs="+", default=None)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_evaluate, input_format="jsonl")
+    p.set_defaults(input_format="jsonl")
 
-    p = sub.add_parser("baseline", help="majority-class baseline accuracy of gold tags")
-    _add_corpus_args(p)
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_baseline)
+    command("baseline", _cmd_baseline, "majority-class baseline accuracy of gold tags",
+            corpus_in, report)
 
-    p = sub.add_parser("chisq", help="chi-square goodness of fit of counts vs proportions")
+    p = command("chisq", _cmd_chisq, "chi-square goodness of fit of counts vs proportions", report)
     p.add_argument("--observed", type=_comma_ints, required=True, help="e.g. 306,18,13,63")
     p.add_argument("--expected", type=_comma_floats, required=True, help="e.g. 0.557,0.203,0.084,0.155")
-    p.add_argument("--out", default="-")
-    p.add_argument("--format", choices=("table", "json"), default="table")
-    p.set_defaults(handler=_cmd_chisq)
 
-    p = sub.add_parser("synth", help="generate a gold-tagged synthetic code-mixed corpus")
+    p = command("synth", _cmd_synth, "generate a gold-tagged synthetic code-mixed corpus", out)
     p.add_argument("--lang-a", required=True)
     p.add_argument("--lang-b", required=True)
     p.add_argument("--source-a", required=True, help="token pool file for lang-a")
@@ -305,8 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-rate", type=float, default=0.5)
     p.add_argument("--tokens-per-doc", type=int, default=12)
     p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default 0)")
-    p.add_argument("--out", default="-")
-    p.set_defaults(handler=_cmd_synth)
 
     return parser
 

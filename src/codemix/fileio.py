@@ -27,6 +27,7 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
     "-" is stdin or stdout, and a file that is already open passes through
     unchanged; neither is closed on exit. A file written by path (through any
     symlink) is replaced only on a clean exit, unless it is special, like /dev/null.
+    Invalid UTF-8 in a file read by path is a UnicodeError naming its line.
     """
     if not isinstance(target, (str, Path)):
         return nullcontext(target)
@@ -36,7 +37,31 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
         path = os.path.realpath(target)
         if not os.path.exists(target) or os.path.isfile(target) and os.path.isfile(path):
             return _replacing(path)
-    return open(target, mode, **_TEXT_MODES[mode])
+        return open(target, mode, **_TEXT_MODES[mode])
+    return _reading(target)
+
+
+@contextmanager
+def _reading(path: str | Path) -> Iterator[IO[str]]:
+    """``path`` opened for reading; a decode error in the caller's reads names the line."""
+    with open(path, "r", **_TEXT_MODES["r"]) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            line = _first_undecodable_line(path)
+            if line is None:  # the file changed since the failed read
+                raise
+            raise UnicodeError(f"{path}: line {line} is not UTF-8 text: {exc.reason}") from exc
+
+
+def _first_undecodable_line(path: str | Path) -> int | None:
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return None
 
 
 @contextmanager

@@ -3,9 +3,13 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import codemix
 from codemix import langid
 from codemix.cli import run
 
@@ -103,8 +107,20 @@ class TestOperationalErrors:
         code = run([*argv, "--input", str(src), "--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"codemix {argv[0]}: error:")
+        assert err.startswith(f"codemix {argv[0]}: error: {src}: line 2 is not UTF-8 text")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "argv", [["identify", "--profiles", "{profiles}"], ["train", "--lang", "xa"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_invalid_utf8_far_into_a_text_names_its_line(self, tmp_path, profile_dir, capsys, argv):
+        src = tmp_path / "lines.txt"
+        src.write_bytes(b"hello world\n" * 3000 + b"\xff\n")
+        argv = [a.format(profiles=profile_dir) for a in argv]
+        assert run([*argv, "--input", str(src), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"codemix {argv[0]}: error: {src}: line 3001 is not UTF-8 text: invalid start byte\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -507,3 +523,50 @@ def test_output_does_not_depend_on_float_sum(
     plain = outputs()
     monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert outputs() == plain
+
+
+CHILD = """
+import json, sys
+from codemix.cli import run
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+print("LAST")
+sys.exit(0 if set(codes) == {0} else f"exit codes {codes}")
+"""
+
+
+def test_in_process_runs_leave_stdout_alone(tmp_path, synthetic_languages):
+    """A caller that runs commands through cli.run with --out owns its stdout.
+
+    Every command writes only to --out, while it runs and when the child's
+    objects are finalized at exit, so the child's last stdout line is its own.
+    """
+    d = tmp_path
+    for lang, (pool, lines) in synthetic_languages.items():
+        write_pool(d / f"{lang}.pool", pool)
+        (d / f"{lang}.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (d / "profiles").mkdir()
+    corpus_in = ["--input", str(d / "corpus.jsonl")]
+    calls = [
+        ["train", "--lang", "xa", "--input", str(d / "xa.txt"), "--out", str(d / "profiles/xa.profile")],
+        ["train", "--lang", "xb", "--input", str(d / "xb.txt"), "--out", str(d / "profiles/xb.profile")],
+        ["synth", "--lang-a", "xa", "--lang-b", "xb", "--source-a", str(d / "xa.pool"),
+         "--source-b", str(d / "xb.pool"), "--n-docs", "50", "--out", str(d / "corpus.jsonl")],
+        ["detect", "--profiles", str(d / "profiles"), *corpus_in, "--out", str(d / "tagged.jsonl")],
+        ["evaluate", "--input", str(d / "tagged.jsonl"), "--out", str(d / "evaluate.txt")],
+        ["dedupe", *corpus_in, "--out", str(d / "dedupe.jsonl")],
+        ["sample", *corpus_in, "--n", "10", "--out", str(d / "sample.jsonl")],
+        ["distribution", *corpus_in, "--out", str(d / "distribution.txt")],
+        ["baseline", *corpus_in, "--format", "json", "--out", str(d / "baseline.json")],
+        ["chisq", "--observed", "60,40", "--expected", "0.5,0.5", "--out", str(d / "chisq.txt")],
+        ["identify", "--profiles", str(d / "profiles"), "--input", str(d / "xa.txt"),
+         "--out", str(d / "identify.tsv")],
+    ]
+    package_root = str(Path(codemix.__file__).parents[1])
+    pythonpath = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CHILD, json.dumps(calls)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "LAST\n"
+    assert all((d / argv[-1]).stat().st_size > 0 for argv in calls)

@@ -23,7 +23,8 @@ from codemix.langid import (
     score,
     train,
 )
-from oracles import score_by_loops
+from codemix.textnorm import normalize
+from oracles import random_unicode_string, score_by_loops
 
 
 def random_profile(rng, lang="aa"):
@@ -200,6 +201,25 @@ class TestIdentify:
         large = {p.lang: p.avg_log_likelihood for p in identify(text, bigger)}
         for lang, value in small.items():
             assert large[lang] == value
+
+    def test_ranked_scores_are_bit_equal_to_score(self, synthetic_languages, overlapping_languages):
+        # the reference for any faster scorer: not one bit of drift from score()
+        sources = {"xa": synthetic_languages["xa"], "xb": synthetic_languages["xb"],
+                   "xc": overlapping_languages["xa"]}
+        profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
+        words = [word for pool, _ in sources.values() for word in pool]
+        rng = random.Random(2028)
+        compared = 0
+        for _ in range(300):
+            text = " ".join(
+                random_unicode_string(rng) if rng.random() < 0.3 else rng.choice(words)
+                for _ in range(rng.randint(1, 6))
+            )
+            for p in identify(text, profiles):
+                if p.lang != "und":
+                    assert p.avg_log_likelihood == score(normalize(text), profiles.profiles[p.lang])
+                    compared += 1
+        assert compared >= 600
 
     def test_self_consistency(self, trained_profiles, synthetic_languages):
         _, lines_a = synthetic_languages["xa"]
