@@ -136,14 +136,15 @@ def _tag_of(doc: corpus.Document, attr: str, field: str) -> detector.LanguageTag
 
 
 def _cmd_distribution(args: argparse.Namespace) -> int:
-    tags = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
+    tags = (_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field))
     counts = corpus.label_distribution(tags, classes=args.classes)
-    proportions = {label: c / len(tags) for label, c in counts.items()}
+    total = sum(counts.values())
+    proportions = {label: c / total for label, c in counts.items()}
     width = max(map(len, proportions))
     table = [f"{'class'.ljust(width)}  count  proportion"]
     table += [f"{label.ljust(width)}  {str(counts[label]).rjust(5)}  {p:.4f}"
               for label, p in proportions.items()]
-    doc = {"total": len(tags), "counts": counts, "proportions": proportions}
+    doc = {"total": total, "counts": counts, "proportions": proportions}
     return _report(args, doc, "\n".join(table))
 
 
@@ -164,7 +165,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    gold = [_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field)]
+    gold = (_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field))
     label, freq = evaluation.majority_class(gold)
     doc = {"majority_class": label, "baseline_accuracy": freq}
     return _report(args, doc, f"majority class      {label}\nbaseline accuracy   {freq:.4f}")

@@ -236,39 +236,36 @@ def pair_stratum(langs: Iterable[str]) -> TagPredicate:
     )
 
 
-def _class_of(tag: LanguageTag, scheme: set[str] | None) -> str:
-    label = tag.class_label()
-    if scheme is not None and label not in scheme:
-        return OTHER_CLASS
-    return label
-
-
-def _declared_classes(class_scheme: Sequence[str]) -> list[str]:
-    """Canonicalize a declared class list; "other" is reserved for the bucket."""
+def _classes(observed: Iterable[str], class_scheme: Sequence[str] | None) -> list[str]:
+    """Classes of a tally: the ``observed`` labels sorted, or the declared
+    classes, canonicalized and in declared order, then "other", the bucket
+    for every label outside them.
+    """
+    if class_scheme is None:
+        return sorted(set(observed))
     declared = [LanguageTag.parse(c).class_label() for c in class_scheme]
     if OTHER_CLASS in declared:
         raise InvalidConfig(f"{OTHER_CLASS!r} is the bucket class and cannot be declared")
     if len(set(declared)) != len(declared):
         raise InvalidConfig(f"duplicate classes in scheme: {list(class_scheme)}")
-    return declared
+    return [*declared, OTHER_CLASS]
 
 
 def label_distribution(
-    tags: Sequence[LanguageTag],
+    tags: Iterable[LanguageTag],
     classes: Sequence[str] | None = None,
 ) -> dict[str, int]:
-    """Count of each composite class among ``tags``.
+    """Count of each composite class among ``tags``, read once.
 
     Every distinct tag set is a class, labelled by its sorted comma-joined
     codes; classes come in label order. When ``classes`` is declared, the
     result holds every declared class in declared order (possibly 0) and
-    then "other", the count of tags outside them. Counts sum to len(tags).
+    then "other", the count of tags outside them. Counts sum to the tag count.
     """
-    if not tags:
+    counts = Counter(map(LanguageTag.class_label, tags))
+    if not counts:
         raise EmptyInput("no tags to summarize")
-    if classes is None:
-        return dict(sorted(Counter(tag.class_label() for tag in tags).items()))
-    declared = _declared_classes(classes)
-    scheme = set(declared)
-    counts = Counter(_class_of(tag, scheme) for tag in tags)
-    return {label: counts[label] for label in [*declared, OTHER_CLASS]}
+    tally = dict.fromkeys(_classes(counts, classes), 0)
+    for label, n in counts.items():
+        tally[label if label in tally else OTHER_CLASS] += n
+    return tally

@@ -23,12 +23,12 @@ DEFAULT_CHUNKS = 4
 class LanguageTag:
     """Set of distinct language codes carried by one document.
 
-    Rendering preserves first-occurrence order ("zu,en"), but equality and
-    hashing are set-based so "zu,en" and "en,zu" are the same tag. The
-    reserved code "und" only ever appears alone.
+    Rendering preserves first-occurrence order ("zu,en"); the sorted class
+    label ("en,zu") is the tag's identity, so "zu,en" and "en,zu" are the
+    same tag. The reserved code "und" only ever appears alone.
     """
 
-    __slots__ = ("langs",)
+    __slots__ = ("langs", "_label")
 
     def __init__(self, langs: Iterable[str]):
         seen: list[str] = []
@@ -42,6 +42,7 @@ class LanguageTag:
         if UND in seen and len(seen) > 1:
             raise InvalidConfig(f"{UND!r} cannot combine with other codes: {seen}")
         self.langs: tuple[str, ...] = tuple(seen)
+        self._label = ",".join(sorted(seen))
 
     @classmethod
     def parse(cls, text: str) -> "LanguageTag":
@@ -53,7 +54,7 @@ class LanguageTag:
 
     def class_label(self) -> str:
         """Order-free label for use as an evaluation class ("en,zu")."""
-        return ",".join(sorted(self.langs))
+        return self._label
 
     @property
     def is_multilingual(self) -> bool:
@@ -62,10 +63,10 @@ class LanguageTag:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LanguageTag):
             return NotImplemented
-        return frozenset(self.langs) == frozenset(other.langs)
+        return self._label == other._label
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.langs))
+        return hash(self._label)
 
     def __repr__(self) -> str:
         return f"LanguageTag({self.render()!r})"

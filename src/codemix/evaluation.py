@@ -9,10 +9,11 @@ p-value comes from the local survival function (no statistics package).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .corpus import OTHER_CLASS, _class_of, _declared_classes, label_distribution
+from .corpus import OTHER_CLASS, _classes, label_distribution
 from .detector import LanguageTag
 from .errors import (
     DimensionMismatch,
@@ -79,20 +80,14 @@ def confusion(
     if not gold:
         raise EmptyInput("nothing to evaluate")
 
-    if class_scheme is not None:
-        declared = _declared_classes(class_scheme)
-        scheme = set(declared)
-        classes = [*declared, OTHER_CLASS]
-    else:
-        scheme = None
-        classes = sorted(
-            {t.class_label() for t in gold} | {t.class_label() for t in pred}
-        )
-
+    class_label = LanguageTag.class_label
+    pairs = Counter(zip(map(class_label, gold), map(class_label, pred)))
+    classes = _classes((label for pair in pairs for label in pair), class_scheme)
     index = {label: i for i, label in enumerate(classes)}
+    other = index.get(OTHER_CLASS)  # where labels outside the declared classes count
     counts = [[0] * len(classes) for _ in classes]
-    for g, p in zip(gold, pred):
-        counts[index[_class_of(g, scheme)]][index[_class_of(p, scheme)]] += 1
+    for (g, p), n in pairs.items():
+        counts[index.get(g, other)][index.get(p, other)] += n
     return ConfusionMatrix(
         classes=tuple(classes), counts=tuple(tuple(row) for row in counts)
     )
@@ -134,16 +129,17 @@ def metrics(m: ConfusionMatrix) -> EvalReport:
     )
 
 
-def majority_class(gold: Sequence[LanguageTag]) -> tuple[str, float]:
-    """The most frequent gold class and its frequency (ties: first label)."""
-    if not gold:
-        raise EmptyInput("no gold tags")
+def majority_class(gold: Iterable[LanguageTag]) -> tuple[str, float]:
+    """The most frequent gold class and its frequency (ties: first label).
+
+    ``gold`` is read once; EmptyInput when it holds no tags.
+    """
     counts = label_distribution(gold)
     label = min(counts, key=lambda c: (-counts[c], c))
-    return label, counts[label] / len(gold)
+    return label, counts[label] / sum(counts.values())
 
 
-def majority_baseline(gold: Sequence[LanguageTag]) -> float:
+def majority_baseline(gold: Iterable[LanguageTag]) -> float:
     """Accuracy of always predicting the most common gold class."""
     return majority_class(gold)[1]
 

@@ -73,9 +73,10 @@ def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
 class LanguageProfile:
     """Trained n-gram model for one language.
 
-    counts maps each observed gram to its non-negative int training count.
-    One checked pass over it derives total_per_order and each order's
-    smoothing denominator. Immutable by convention once built.
+    The constructor checks the language code, the orders and alpha. counts
+    maps each observed gram to its non-negative int training count; one
+    checked pass over it derives total_per_order and each order's smoothing
+    denominator. Immutable by convention once built.
     """
 
     lang: str
@@ -90,6 +91,8 @@ class LanguageProfile:
     _denom: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_lang(self.lang)
+        _check_orders(self.n_min, self.n_max, self.alpha)
         orders = range(self.n_min, self.n_max + 1)
         totals = dict.fromkeys(orders, 0)
         vocab = dict.fromkeys(orders, 1)
@@ -252,6 +255,8 @@ def load_profile(path: str | Path) -> LanguageProfile:
     try:
         with fileio.open_text(path) as fh:
             doc = fileio.loads(fh.read())
+    except UnicodeError as exc:  # already names the path and line
+        raise ProfileError(str(exc)) from exc
     except ValueError as exc:
         raise ProfileError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
@@ -267,11 +272,10 @@ def load_profile(path: str | Path) -> LanguageProfile:
             expected = " or ".join(kind.__name__ for kind in kinds)
             raise ProfileError(f"{path}: malformed profile: {key!r} must be {expected}")
 
-    lang, n_min, n_max, alpha = doc["lang"], doc["n_min"], doc["n_max"], doc["alpha"]
     try:
-        _check_lang(lang)
-        _check_orders(n_min, n_max, alpha)
-        profile = LanguageProfile(lang, n_min, n_max, alpha, counts=doc["counts"])
+        profile = LanguageProfile(
+            doc["lang"], doc["n_min"], doc["n_max"], doc["alpha"], counts=doc["counts"]
+        )
     except (InvalidConfig, OverflowError) as exc:
         raise ProfileError(f"{path}: {exc}") from exc
     totals = doc["total_per_order"]

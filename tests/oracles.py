@@ -84,6 +84,32 @@ def metrics_by_loops(gold: list[str], pred: list[str]) -> dict:
     }
 
 
+def confusion_by_loops(gold, pred, class_scheme=None) -> tuple[tuple, tuple]:
+    """(classes, counts) of a confusion matrix, bucketing and filling one document at a time.
+
+    A tag's class is its distinct codes, sorted and comma-joined; with a
+    scheme, a class outside the declared ones (canonicalized the same way)
+    is "other", and the classes are the declared ones then "other".
+    """
+    def label(codes):
+        return ",".join(sorted({code.strip() for code in codes}))
+
+    declared = None if class_scheme is None else [label(c.split(",")) for c in class_scheme]
+
+    def bucket(tag):
+        cls = label(tag.langs)
+        return cls if declared is None or cls in declared else "other"
+
+    if declared is None:
+        classes = sorted({bucket(tag) for tag in [*gold, *pred]})
+    else:
+        classes = declared + ["other"]
+    counts = [[0] * len(classes) for _ in classes]
+    for g, p in zip(gold, pred):
+        counts[classes.index(bucket(g))][classes.index(bucket(p))] += 1
+    return tuple(classes), tuple(tuple(row) for row in counts)
+
+
 # codepoint ranges the fuzz generator draws from: ASCII, Latin-1, general
 # punctuation, combining marks, currency/symbols, digits of several scripts,
 # CJK, emoji, and astral-plane letters

@@ -110,6 +110,16 @@ class TestOperationalErrors:
         assert err.startswith(f"codemix {argv[0]}: error: {src}: line 2 is not UTF-8 text")
         assert len(err.splitlines()) == 1
 
+    def test_invalid_utf8_profile_names_its_path_once(self, tmp_path, profile_dir, capsys):
+        bad = profile_dir / "xc.profile"
+        bad.write_bytes(b"{}\n\xff\n")
+        src = tmp_path / "lines.txt"
+        src.write_text("hello world\n", encoding="utf-8")
+        assert run(["identify", "--profiles", str(profile_dir), "--input", str(src)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"codemix identify: error: {bad}: line 2 is not UTF-8 text: invalid start byte\n"
+        assert err.count(str(bad)) == 1
+
     @pytest.mark.parametrize(
         "argv", [["identify", "--profiles", "{profiles}"], ["train", "--lang", "xa"]],
         ids=lambda argv: argv[0],

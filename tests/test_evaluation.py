@@ -26,7 +26,8 @@ from codemix.evaluation import (
     render_report,
     report_document,
 )
-from oracles import chi2_sf_quadrature, metrics_by_loops
+from codemix.corpus import label_distribution
+from oracles import chi2_sf_quadrature, confusion_by_loops, metrics_by_loops
 
 A = LanguageTag.parse("aa")
 B = LanguageTag.parse("bb")
@@ -147,6 +148,57 @@ class TestMajorityBaseline:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             majority_baseline([])
+
+
+#: Declared schemes: classes the data never shows ("af", "nr,ss"), and
+#: codes in another order than their class label ("zu,en", "st,xh,en").
+SCHEMES = [
+    None,
+    ["en"],
+    ["zu,en", "xh", "af"],
+    ["st,xh,en", "zu", "en,zu", "und"],
+    ["af", "nr,ss"],
+]
+
+
+def random_tags(rng, n):
+    """Tags of one to three codes in random order, and the lone "und"."""
+    codes = ["en", "zu", "xh", "st"]
+    return [
+        LanguageTag.parse("und") if rng.random() < 0.1
+        else LanguageTag(rng.sample(codes, rng.randint(1, 3)))
+        for _ in range(n)
+    ]
+
+
+class TestCountThenBucket:
+    """Counting labels and then bucketing the count equals bucketing each document."""
+
+    def test_confusion_matches_per_document_oracle(self):
+        rng = random.Random(41)
+        for _ in range(100):
+            n = rng.randint(1, 300)
+            gold, pred = random_tags(rng, n), random_tags(rng, n)
+            for scheme in SCHEMES:
+                m = confusion(gold, pred, class_scheme=scheme)
+                assert (m.classes, m.counts) == confusion_by_loops(gold, pred, scheme)
+
+    def test_distribution_and_majority_read_an_iterator_once(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            tags = random_tags(rng, rng.randint(1, 300))
+            for scheme in SCHEMES:
+                dist = label_distribution(tags, classes=scheme)
+                classes, counts = confusion_by_loops(tags, tags, scheme)
+                assert list(dist.items()) == [(c, sum(row)) for c, row in zip(classes, counts)]
+                assert list(label_distribution(iter(tags), classes=scheme).items()) == list(dist.items())
+            assert majority_class(iter(tags)) == majority_class(tags)
+
+    def test_empty_iterator(self):
+        with pytest.raises(EmptyInput):
+            label_distribution(iter([]))
+        with pytest.raises(EmptyInput):
+            majority_class(iter([]))
 
 
 class TestChiSquareGof:

@@ -85,6 +85,21 @@ class TestTrain:
         with pytest.raises(InvalidConfig):
             train(["some text"], lang)
 
+    @pytest.mark.parametrize(
+        "lang, n_min, n_max, alpha",
+        [
+            ("xa", 1, 3, math.nan),
+            ("xa", 1, 3, 0.0),
+            ("xa", 1, 3, -0.5),
+            ("xa", 3, 1, 0.5),
+            ("und", 1, 3, 0.5),
+        ],
+        ids=["alpha-nan", "alpha-zero", "alpha-negative", "n_min-above-n_max", "und"],
+    )
+    def test_profile_constructor_checks_the_model(self, lang, n_min, n_max, alpha):
+        with pytest.raises(InvalidConfig):
+            LanguageProfile(lang, n_min, n_max, alpha, {"a": 1})
+
     def test_totals_consistent(self):
         rng = random.Random(11)
         for _ in range(25):
