@@ -88,9 +88,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
 
 
 def _detection_record(doc: corpus.Document, result: detector.DetectionResult) -> dict:
-    record: dict = {"id": result.doc_id, "text": doc.text}
-    if doc.gold_tag is not None:
-        record["tags"] = doc.gold_tag.render()
+    record = corpus.document_record(doc)
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
     record["chunks"] = [

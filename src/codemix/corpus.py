@@ -86,8 +86,9 @@ def iter_load(
     """Yield a corpus file's Documents one at a time, in file order.
 
     ``tag_field`` fills each Document's gold tag and ``pred_field`` its
-    predicted tag; None leaves that tag unset. Records without an id get
-    the 0-based record index rendered in decimal. ``source`` is a path, "-"
+    predicted tag; None leaves that tag unset. An id is a string or an
+    integer; records without one get the 0-based record index rendered in
+    decimal, and a repeated id is a ParseError. ``source`` is a path, "-"
     for stdin, or an open text file; a file opened by path may start with
     a UTF-8 BOM. Raises ParseError (with line number), MissingField, or
     InvalidConfig for an unknown format, when iteration reaches the fault.
@@ -109,15 +110,17 @@ def iter_load(
             if not isinstance(text, str):
                 raise ParseError(f"field {text_field!r} is not a string", line)
 
-            if id_field is not None:
-                if id_field not in record or record[id_field] in (None, ""):
-                    raise MissingField(f"line {line}: record has no {id_field!r} field")
-                doc_id = str(record[id_field])
-            else:
-                fallback = record.get("id")
-                doc_id = str(fallback) if fallback not in (None, "") else str(index)
+            key = id_field or "id"
+            value = record.get(key)
+            if value in (None, ""):
+                if id_field is not None:
+                    raise MissingField(f"line {line}: record has no {key!r} field")
+                value = index
+            elif type(value) not in (str, int):  # bool and float ids are errors too
+                raise ParseError(f"field {key!r} is not a string or an integer", line)
+            doc_id = str(value)
             if doc_id in seen:
-                raise ParseError(f"duplicate document id {doc_id!r}")
+                raise ParseError(f"duplicate document id {doc_id!r}", line)
             seen.add(doc_id)
 
             yield Document(

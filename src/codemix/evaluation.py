@@ -202,10 +202,10 @@ def format_p_value(p: float) -> str:
 def report_document(
     matrix: ConfusionMatrix,
     report: EvalReport,
-    baseline: tuple[str, float] | None = None,
+    baseline: tuple[str, float],
 ) -> dict:
     """Single machine-readable document with every evaluation artifact."""
-    doc: dict = {
+    return {
         "classes": list(matrix.classes),
         "matrix": [list(row) for row in matrix.counts],
         "total": matrix.total,
@@ -213,11 +213,9 @@ def report_document(
         "weighted_precision": report.weighted_precision,
         "weighted_recall": report.weighted_recall,
         "per_class": {label: vars(c) for label, c in report.per_class.items()},
+        "majority_class": baseline[0],
+        "majority_baseline": baseline[1],
     }
-    if baseline is not None:
-        doc["majority_class"] = baseline[0]
-        doc["majority_baseline"] = baseline[1]
-    return doc
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -232,7 +230,7 @@ def _table(rows: list[list[str]]) -> str:
 def render_report(
     matrix: ConfusionMatrix,
     report: EvalReport,
-    baseline: tuple[str, float] | None = None,
+    baseline: tuple[str, float],
 ) -> str:
     """Aligned text tables: confusion matrix, per-class and summary metrics."""
     rows = [["gold \\ pred", *matrix.classes]]
@@ -250,9 +248,8 @@ def render_report(
         ["accuracy", f"{report.accuracy:.4f}"],
         ["weighted precision", f"{report.weighted_precision:.4f}"],
         ["weighted recall", f"{report.weighted_recall:.4f}"],
+        ["majority baseline", f"{baseline[1]:.4f} ({baseline[0]})"],
     ]
-    if baseline is not None:
-        summary.append(["majority baseline", f"{baseline[1]:.4f} ({baseline[0]})"])
     out.append(_table(summary))
     return "\n".join(out)
 

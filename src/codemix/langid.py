@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,24 +40,22 @@ DEFAULT_ALPHA = 0.5
 DEFAULT_MIN_CHARS = 3
 
 #: A language code: 2-8 lowercase ASCII letters.
-LANG_CODE_RE = re.compile(r"^[a-z]{2,8}$")
+LANG_CODE_RE = re.compile(r"^[a-z]{2,8}\Z")
 
 
-def _check_lang(lang: str) -> str:
-    if not LANG_CODE_RE.match(lang):
-        raise InvalidConfig(
-            f"language code must be 2-8 lowercase ASCII letters, got {lang!r}"
-        )
+def _check_lang(lang: str) -> None:
+    if not isinstance(lang, str) or not LANG_CODE_RE.match(lang):
+        raise InvalidConfig(f"language code must be 2-8 lowercase ASCII letters, got {lang!r}")
     if lang == UND:
         raise InvalidConfig(f"{UND!r} is reserved for undetermined text")
-    return lang
 
 
 def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
-    if not (1 <= n_min <= n_max <= 6):
-        raise InvalidConfig(f"need 1 <= n_min <= n_max <= 6, got {n_min}..{n_max}")
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise InvalidConfig(f"smoothing constant must be positive and finite, got {alpha}")
+    # bool is an int subclass, and an int alpha may be too large for a float
+    if type(n_min) is not int or type(n_max) is not int or not 1 <= n_min <= n_max <= 6:
+        raise InvalidConfig(f"need integers 1 <= n_min <= n_max <= 6, got {n_min!r}..{n_max!r}")
+    if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
+        raise InvalidConfig(f"smoothing constant must be positive and finite, got {alpha!r}")
 
 
 def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
@@ -73,10 +72,11 @@ def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
 class LanguageProfile:
     """Trained n-gram model for one language.
 
-    The constructor checks the language code, the orders and alpha. counts
-    maps each observed gram to its non-negative int training count; one
-    checked pass over it derives total_per_order and each order's smoothing
-    denominator. Immutable by convention once built.
+    The constructor defines a valid profile: a language code, int orders, a
+    positive finite alpha, and counts mapping each gram (a str of one of the
+    orders) to its non-negative int training count. One pass over counts
+    derives total_per_order and each order's smoothing denominator, which
+    must leave unseen grams a positive probability. Immutable by convention.
     """
 
     lang: str
@@ -85,7 +85,6 @@ class LanguageProfile:
     alpha: float
     counts: dict[str, int]
     total_per_order: dict[int, int] = field(init=False)
-    version: int = PROFILE_VERSION
 
     # total + alpha * (distinct grams + 1 unseen slot), per order
     _denom: dict[int, float] = field(init=False, repr=False, compare=False)
@@ -93,17 +92,24 @@ class LanguageProfile:
     def __post_init__(self) -> None:
         _check_lang(self.lang)
         _check_orders(self.n_min, self.n_max, self.alpha)
+        if not isinstance(self.counts, dict):
+            raise InvalidConfig(f"count table must be a dict, got {type(self.counts).__name__}")
         orders = range(self.n_min, self.n_max + 1)
         totals = dict.fromkeys(orders, 0)
         vocab = dict.fromkeys(orders, 1)
         for gram, c in self.counts.items():
-            n = len(gram)
+            n = len(gram) if type(gram) is str else 0  # 0 is no order
             if n not in totals or type(c) is not int or c < 0:
                 raise InvalidConfig(f"count table entry {gram!r}={c!r} out of bounds")
             totals[n] += c
             vocab[n] += 1
         self.total_per_order = totals
-        self._denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
+        try:
+            self._denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
+        except OverflowError as exc:
+            raise InvalidConfig("count table totals are too large for a float") from exc
+        if not min(self.alpha / d for d in self._denom.values()) > 0:
+            raise InvalidConfig(f"alpha {self.alpha!r} leaves unseen grams no probability")
 
     def gram_log_prob(self, gram: str) -> float:
         """Additively smoothed log probability of one gram."""
@@ -124,6 +130,8 @@ class ProfileSet:
     """Profiles for the candidate languages; order ranges must agree."""
 
     profiles: dict[str, LanguageProfile]
+    n_min: int = field(init=False)
+    n_max: int = field(init=False)
 
     def __post_init__(self) -> None:
         if not self.profiles:
@@ -134,14 +142,7 @@ class ProfileSet:
         for lang, profile in self.profiles.items():
             if lang != profile.lang:
                 raise InvalidConfig(f"profile keyed {lang!r} claims lang {profile.lang!r}")
-
-    @property
-    def n_min(self) -> int:
-        return next(iter(self.profiles.values())).n_min
-
-    @property
-    def n_max(self) -> int:
-        return next(iter(self.profiles.values())).n_max
+        self.n_min, self.n_max = ranges.pop()
 
 
 def train(
@@ -223,7 +224,7 @@ def identify(
 def profile_to_json(profile: LanguageProfile) -> str:
     """Canonical JSON rendering; stable byte-for-byte across round trips."""
     doc = {
-        "version": profile.version,
+        "version": PROFILE_VERSION,
         "lang": profile.lang,
         "n_min": profile.n_min,
         "n_max": profile.n_max,
@@ -239,19 +240,10 @@ def save_profile(profile: LanguageProfile, path: str | Path) -> None:
         fh.write(profile_to_json(profile))
 
 
-#: JSON types each profile field must have; bool is not a number here.
-_FIELD_TYPES = {
-    "lang": (str,),
-    "n_min": (int,),
-    "n_max": (int,),
-    "alpha": (int, float),
-    "total_per_order": (dict,),
-    "counts": (dict,),
-}
-
-
 def load_profile(path: str | Path) -> LanguageProfile:
-    """Read a profile file, checking its types, version and totals."""
+    """Read a profile file: a JSON object of this version whose stored
+    totals match its counts. LanguageProfile checks every field.
+    """
     try:
         with fileio.open_text(path) as fh:
             doc = fileio.loads(fh.read())
@@ -267,18 +259,13 @@ def load_profile(path: str | Path) -> LanguageProfile:
         raise ProfileError(
             f"{path}: unsupported profile version {version!r}, expected {PROFILE_VERSION}"
         )
-    for key, kinds in _FIELD_TYPES.items():
-        if type(doc.get(key)) not in kinds:
-            expected = " or ".join(kind.__name__ for kind in kinds)
-            raise ProfileError(f"{path}: malformed profile: {key!r} must be {expected}")
-
     try:
         profile = LanguageProfile(
-            doc["lang"], doc["n_min"], doc["n_max"], doc["alpha"], counts=doc["counts"]
+            doc.get("lang"), doc.get("n_min"), doc.get("n_max"), doc.get("alpha"), doc.get("counts")
         )
-    except (InvalidConfig, OverflowError) as exc:
+    except InvalidConfig as exc:
         raise ProfileError(f"{path}: {exc}") from exc
-    totals = doc["total_per_order"]
+    totals = doc.get("total_per_order")
     derived = {str(n): t for n, t in profile.total_per_order.items()}
     if totals != derived or any(type(t) is not int for t in totals.values()):
         raise ProfileError(f"{path}: per-order totals disagree with count table")

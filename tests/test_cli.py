@@ -158,7 +158,8 @@ class TestOperationalErrors:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("lang", 5), ("counts", []), ("version", True), ("n_min", 1.9), ("alpha", math.inf)],
+        [("lang", 5), ("counts", []), ("version", True), ("n_min", 1.9), ("alpha", math.inf),
+         ("alpha", 1e308), ("n_max", None)],
     )
     def test_malformed_profile_is_one_line_error(
         self, tmp_path, profile_dir, capsys, key, value

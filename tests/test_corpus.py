@@ -82,6 +82,24 @@ class TestLoadJsonl:
         with pytest.raises(ParseError):
             load(jsonl({"id": "x", "text": "a"}, {"id": "x", "text": "b"}))
 
+    def test_duplicate_id_names_its_line(self):
+        with pytest.raises(ParseError, match=r"^line 3: duplicate document id '7'$") as exc:
+            load(jsonl({"id": "7", "text": "a"}, {"id": "8", "text": "b"}, {"id": 7, "text": "c"}))
+        assert exc.value.line == 3
+
+    def test_string_and_integer_ids(self):
+        docs = load(jsonl({"id": "q1", "text": "a"}, {"id": 7, "text": "b"}, {"id": 0, "text": "c"}))
+        assert [d.id for d in docs] == ["q1", "7", "0"]
+
+    @pytest.mark.parametrize(
+        "value", [{"a": 1}, True, False, 1.0, 2.5, [1]], ids=["object", "true", "false", "1.0", "2.5", "list"]
+    )
+    @pytest.mark.parametrize("id_field", [None, "qid"])
+    def test_other_ids_are_parse_errors(self, value, id_field):
+        key = id_field or "id"
+        with pytest.raises(ParseError, match=rf"^line 2: field '{key}' is not a string or an integer$"):
+            load(jsonl({key: "a", "text": "a"}, {key: value, "text": "b"}), id_field=id_field)
+
     def test_pred_field(self):
         record = {"text": "a", "tags": "en", "pred": "zu"}
         docs = load(jsonl(record), pred_field="pred")

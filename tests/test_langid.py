@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from codemix.errors import (
 from codemix.langid import (
     LanguageProfile,
     ProfileSet,
+    extract_ngrams,
     identify,
     load_profile,
     load_profile_set,
@@ -99,6 +101,76 @@ class TestTrain:
     def test_profile_constructor_checks_the_model(self, lang, n_min, n_max, alpha):
         with pytest.raises(InvalidConfig):
             LanguageProfile(lang, n_min, n_max, alpha, {"a": 1})
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("xa", 1, 3, 0.5, {1: 1}),
+            ("xa", 1, 3, 0.5, {("a",): 1}),
+            ("xa", 1.5, 3, 0.5, {"a": 1}),
+            ("xa", 1, 3.0, 0.5, {"a": 1}),
+            ("xa", True, 3, 0.5, {"a": 1}),
+            ("xa", 1, 3, True, {"a": 1}),
+            ("xa", 1, 3, "0.5", {"a": 1}),
+            ("xa", 1, 3, 10**400, {"a": 1}),
+            ("xa", 1, 3, 1e308, {"a": 1, "b": 1}),
+            ("xa", 1, 3, 5e-324, {"a": 3}),
+            ("xa", 1, 3, 0.5, {"a": 10**400}),
+            ("xa", 1, 3, 0.5, [["a", 1]]),
+            ("xa", 1, 3, 0.5, None),
+            (5, 1, 3, 0.5, {"a": 1}),
+            (None, 1, 3, 0.5, {"a": 1}),
+            ("xa\n", 1, 3, 0.5, {"a": 1}),
+        ],
+        ids=[
+            "int-gram", "tuple-gram", "float-n_min", "float-n_max", "bool-n_min", "bool-alpha",
+            "str-alpha", "int-alpha-past-float", "alpha-overflows-denominator", "alpha-underflows",
+            "count-past-float", "list-counts", "no-counts", "int-lang", "no-lang", "lang-newline",
+        ],
+    )
+    def test_profile_constructor_checks_every_type(self, args):
+        with pytest.raises(InvalidConfig):
+            LanguageProfile(*args)
+
+    def test_accepted_profiles_save_load_and_score(self, tmp_path):
+        # a quarter of the draws break one field; whatever the constructor
+        # accepts, the file format carries and the scorer can use
+        rng = random.Random(2029)
+        bad = {
+            "lang": ["und", "x", "XA", "xa\n", 5, None],
+            "n_min": [0, 7, True, 2.0, None, "1"],
+            "n_max": [0, 7, True, 2.0, None, "1"],
+            "alpha": [5e-324, 1e308, 10**400, 0, -1, True, math.inf, math.nan, None, "0.5"],
+            "counts": [None, [], "a"],
+        }
+        path = tmp_path / "p.profile"
+        accepted = 0
+        for _ in range(600):
+            n_min = rng.randint(1, 6)
+            n_max = rng.randint(n_min, 6)
+            grams = extract_ngrams(random_unicode_string(rng, 20), n_min, n_max)
+            args = {
+                "lang": rng.choice(["xa", "zu", "abcdefgh"]),
+                "n_min": n_min,
+                "n_max": n_max,
+                "alpha": rng.choice([0.5, 1, 3, 1e-300, 1e300, 10**300]),
+                "counts": {
+                    gram: rng.choice([0, 1, 5, 10**30, 10**300] if rng.random() < 0.99 else [-1, True, 1.5])
+                    for gram in grams
+                },
+            }
+            if rng.random() < 0.25:
+                key = rng.choice(list(bad))
+                args[key] = rng.choice(bad[key])
+            try:
+                profile = LanguageProfile(**args)
+            except InvalidConfig:
+                continue
+            accepted += 1
+            save_profile(profile, path)
+            assert load_profile(path) == profile
+            assert math.isfinite(score("a" * profile.n_max, profile))
+        assert 300 <= accepted <= 550
 
     def test_totals_consistent(self):
         rng = random.Random(11)
@@ -318,6 +390,43 @@ class TestProfileIO:
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ProfileError):
             load_profile(path)
+
+    def test_mutated_documents_load_or_raise_profile_error(self, tmp_path):
+        # type swaps, deleted and renamed keys, huge ints and nested values
+        # anywhere in the document, its counts or its totals
+        rng = random.Random(2030)
+        base = json.loads(profile_to_json(train(["umntwana uyakhala", "why is this"], "zu", n_max=3)))
+        values = [
+            None, True, False, 0, 1, 2, -1, 1.5, 1e308, 5e-324, 10**400, -(10**400),
+            "", "zu", "und", "1", [], [1], {}, {"1": 1}, {"a": 1}, [[[{}]]], {"a": {"b": [1]}},
+        ]
+        path = tmp_path / "p.profile"
+        loaded = failed = 0
+        for _ in range(2500):
+            doc = copy.deepcopy(base)
+            for _ in range(rng.randint(1, 3)):
+                target = rng.choice([doc, doc.get("counts"), doc.get("total_per_order")])
+                if not isinstance(target, dict):
+                    target = doc
+                key = rng.choice([*target, "extra"])
+                action = rng.random()
+                if action < 0.2:
+                    target.pop(key, None)
+                elif action < 0.3:
+                    target[rng.choice(["", "abcdefg", "ab", f"{key}x"])] = target.pop(key, 1)
+                else:
+                    target[key] = rng.choice(values)
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            try:
+                profile = load_profile(path)
+            except ProfileError:
+                failed += 1
+                continue
+            loaded += 1
+            save_profile(profile, path)
+            assert load_profile(path) == profile
+            assert math.isfinite(score("zu", profile))
+        assert loaded >= 50 and failed >= 2000
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.profile"
