@@ -4,7 +4,6 @@ from .corpus import Document, SampleSpec, dedupe, label_distribution, load, samp
 from .detector import (
     ChunkResult,
     DetectionResult,
-    LanguageTag,
     aggregate,
     detect,
     detect_all,
@@ -32,6 +31,7 @@ from .langid import (
     train,
 )
 from .synth import MixSpec, generate
+from .tags import LanguageTag
 from .textnorm import normalize
 
 __version__ = "0.1.0"

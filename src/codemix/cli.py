@@ -15,7 +15,7 @@ import argparse
 import sys
 from typing import Iterable, Iterator, Sequence
 
-from . import corpus, detector, evaluation, langid, synth
+from . import corpus, detector, evaluation, langid, synth, tags
 from .errors import CodemixError, MissingField
 from .fileio import dumps, open_text, write_jsonl
 
@@ -99,6 +99,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    detector.check_chunks(args.chunks)  # before any document, so even an empty corpus fails
     profiles = langid.load_profile_set(args.profiles)
     records = (
         _detection_record(doc, detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars))
@@ -125,7 +126,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return 0
 
 
-def _tag_of(doc: corpus.Document, attr: str, field: str) -> detector.LanguageTag:
+def _tag_of(doc: corpus.Document, attr: str, field: str) -> tags.LanguageTag:
     """The document's ``attr`` tag ("gold_tag" or "pred_tag"), read from ``field``."""
     tag = getattr(doc, attr)
     if tag is None:

@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Iterator, Sequence
 
 from . import fileio, textnorm
-from .detector import LanguageTag
 from .errors import (
     EmptyInput,
     InsufficientPopulation,
@@ -23,8 +22,7 @@ from .errors import (
     MissingField,
     ParseError,
 )
-
-OTHER_CLASS = "other"
+from .tags import OTHER_CLASS, LanguageTag, tally_classes
 
 TagPredicate = Callable[[LanguageTag | None], bool]
 
@@ -239,21 +237,6 @@ def pair_stratum(langs: Iterable[str]) -> TagPredicate:
     )
 
 
-def _classes(observed: Iterable[str], class_scheme: Sequence[str] | None) -> list[str]:
-    """Classes of a tally: the ``observed`` labels sorted, or the declared
-    classes, canonicalized and in declared order, then "other", the bucket
-    for every label outside them.
-    """
-    if class_scheme is None:
-        return sorted(set(observed))
-    declared = [LanguageTag.parse(c).class_label() for c in class_scheme]
-    if OTHER_CLASS in declared:
-        raise InvalidConfig(f"{OTHER_CLASS!r} is the bucket class and cannot be declared")
-    if len(set(declared)) != len(declared):
-        raise InvalidConfig(f"duplicate classes in scheme: {list(class_scheme)}")
-    return [*declared, OTHER_CLASS]
-
-
 def label_distribution(
     tags: Iterable[LanguageTag],
     classes: Sequence[str] | None = None,
@@ -268,7 +251,7 @@ def label_distribution(
     counts = Counter(map(LanguageTag.class_label, tags))
     if not counts:
         raise EmptyInput("no tags to summarize")
-    tally = dict.fromkeys(_classes(counts, classes), 0)
+    tally = dict.fromkeys(tally_classes(counts, classes), 0)
     for label, n in counts.items():
         tally[label if label in tally else OTHER_CLASS] += n
     return tally

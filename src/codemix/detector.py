@@ -12,67 +12,13 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import langid, textnorm
 from .errors import EmptyTokens, InvalidConfig
-from .langid import LANG_CODE_RE, Prediction, ProfileSet, UND
+from .langid import Prediction, ProfileSet
+from .tags import UND, UND_TAG, LanguageTag
 
 if TYPE_CHECKING:
     from .corpus import Document
 
 DEFAULT_CHUNKS = 4
-
-
-class LanguageTag:
-    """Set of distinct language codes carried by one document.
-
-    Rendering preserves first-occurrence order ("zu,en"); the sorted class
-    label ("en,zu") is the tag's identity, so "zu,en" and "en,zu" are the
-    same tag. The reserved code "und" only ever appears alone.
-    """
-
-    __slots__ = ("langs", "_label")
-
-    def __init__(self, langs: Iterable[str]):
-        seen: list[str] = []
-        for code in langs:
-            if not LANG_CODE_RE.match(code):
-                raise InvalidConfig(f"bad language code in tag: {code!r}")
-            if code not in seen:
-                seen.append(code)
-        if not seen:
-            raise InvalidConfig("a language tag needs at least one code")
-        if UND in seen and len(seen) > 1:
-            raise InvalidConfig(f"{UND!r} cannot combine with other codes: {seen}")
-        self.langs: tuple[str, ...] = tuple(seen)
-        self._label = ",".join(sorted(seen))
-
-    @classmethod
-    def parse(cls, text: str) -> "LanguageTag":
-        """Parse a comma-joined tag string such as ``"zu,en"``."""
-        return cls(code.strip() for code in text.split(","))
-
-    def render(self) -> str:
-        return ",".join(self.langs)
-
-    def class_label(self) -> str:
-        """Order-free label for use as an evaluation class ("en,zu")."""
-        return self._label
-
-    @property
-    def is_multilingual(self) -> bool:
-        return len(self.langs) >= 2
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LanguageTag):
-            return NotImplemented
-        return self._label == other._label
-
-    def __hash__(self) -> int:
-        return hash(self._label)
-
-    def __repr__(self) -> str:
-        return f"LanguageTag({self.render()!r})"
-
-
-UND_TAG = LanguageTag((UND,))
 
 
 @dataclass(frozen=True)
@@ -99,14 +45,19 @@ class DetectionResult:
     code_switched: bool
 
 
+def check_chunks(k: int) -> None:
+    """Raise InvalidConfig unless ``k`` is a chunk count: at least 1."""
+    if k < 1:
+        raise InvalidConfig(f"chunk count must be at least 1, got {k}")
+
+
 def split_chunks(tokens: Sequence[str], k: int) -> list[list[str]]:
     """Split tokens into min(k, len) contiguous chunks of near-equal size.
 
     Sizes differ by at most one and the larger chunks come first, so
     10 tokens at k=4 split [3, 3, 2, 2]. Raises EmptyTokens on no tokens.
     """
-    if k < 1:
-        raise InvalidConfig(f"chunk count must be at least 1, got {k}")
+    check_chunks(k)
     if not tokens:
         raise EmptyTokens("cannot chunk an empty token sequence")
     m = min(k, len(tokens))

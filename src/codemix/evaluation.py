@@ -13,8 +13,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus import OTHER_CLASS, _classes, label_distribution
-from .detector import LanguageTag
+from .corpus import label_distribution
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -24,6 +23,7 @@ from .errors import (
     ZeroExpected,
 )
 from .special import chi2_sf
+from .tags import OTHER_CLASS, LanguageTag, tally_classes
 
 #: Human-readable reports never print a p-value smaller than this; they
 #: print "< 2.2e-16" instead. Machine output keeps the raw float.
@@ -82,7 +82,7 @@ def confusion(
 
     class_label = LanguageTag.class_label
     pairs = Counter(zip(map(class_label, gold), map(class_label, pred)))
-    classes = _classes((label for pair in pairs for label in pair), class_scheme)
+    classes = tally_classes((label for pair in pairs for label in pair), class_scheme)
     index = {label: i for i, label in enumerate(classes)}
     other = index.get(OTHER_CLASS)  # where labels outside the declared classes count
     counts = [[0] * len(classes) for _ in classes]

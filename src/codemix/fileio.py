@@ -83,8 +83,10 @@ def _replacing(path: str) -> Iterator[IO[str]]:
                 os.fchmod(fd, mode_bits)
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp)
+        if isinstance(exc, UnicodeEncodeError):  # name the file, as a failed read does
+            raise UnicodeError(f"{path}: written text is not UTF-8: {exc.reason}") from exc
         raise
 
 

@@ -12,7 +12,6 @@ save -> load -> save round trip is byte-identical.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,28 +26,15 @@ from .errors import (
     InvalidConfig,
     ProfileError,
 )
+from .tags import UND, check_code
 
 PROFILE_VERSION = 1
 PROFILE_SUFFIX = ".profile"
-
-#: Reserved code for "undetermined"; never a trainable profile name.
-UND = "und"
 
 DEFAULT_N_MIN = 1
 DEFAULT_N_MAX = 4
 DEFAULT_ALPHA = 0.5
 DEFAULT_MIN_CHARS = 3
-
-#: A language code: 2-8 lowercase ASCII letters.
-LANG_CODE_RE = re.compile(r"^[a-z]{2,8}\Z")
-
-
-def _check_lang(lang: str) -> None:
-    if not isinstance(lang, str) or not LANG_CODE_RE.match(lang):
-        raise InvalidConfig(f"language code must be 2-8 lowercase ASCII letters, got {lang!r}")
-    if lang == UND:
-        raise InvalidConfig(f"{UND!r} is reserved for undetermined text")
-
 
 def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
     # bool is an int subclass, and an int alpha may be too large for a float
@@ -90,7 +76,7 @@ class LanguageProfile:
     _denom: dict[int, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_lang(self.lang)
+        check_code(self.lang)
         _check_orders(self.n_min, self.n_max, self.alpha)
         if not isinstance(self.counts, dict):
             raise InvalidConfig(f"count table must be a dict, got {type(self.counts).__name__}")
@@ -158,7 +144,7 @@ def train(
     Raises EmptyCorpus when every line normalizes to empty text and
     InvalidConfig for bad orders, smoothing or language code.
     """
-    _check_lang(lang)
+    check_code(lang)
     _check_orders(n_min, n_max, alpha)
 
     counts: Counter[str] = Counter()

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document
-from .detector import LanguageTag
 from .errors import InvalidSpec
-from .langid import LANG_CODE_RE, UND
+from .tags import LanguageTag, check_code
 
 
 @dataclass(frozen=True)
@@ -33,8 +32,7 @@ class MixSpec:
 
     def __post_init__(self) -> None:
         for code in (self.lang_a, self.lang_b):
-            if not LANG_CODE_RE.match(code) or code == UND:
-                raise InvalidSpec(f"bad language code {code!r}")
+            check_code(code, InvalidSpec)
         if self.lang_a == self.lang_b:
             raise InvalidSpec("the two languages must differ")
         for name, pool in (("source_a", self.source_a), ("source_b", self.source_b)):

@@ -19,10 +19,11 @@ import codemix
 from codemix import langid, synth
 from codemix.cli import run
 from codemix.corpus import Document, SampleSpec, sample
-from codemix.detector import LanguageTag, detect_all
+from codemix.detector import detect_all
 from codemix.errors import EmptyCorpus
 from codemix.evaluation import chi2_sf, confusion, majority_baseline, metrics
 from codemix.langid import load_profile, profile_to_json, save_profile, train
+from codemix.tags import LanguageTag
 from codemix.textnorm import normalize
 from oracles import chi2_sf_quadrature, metrics_by_loops, random_unicode_string
 

@@ -1,7 +1,11 @@
-"""codemix.fileio is the one module that opens files and speaks JSON.
+"""Module boundaries inside codemix, checked on each module's ast.
 
-Every other module under src/codemix is parsed with ast; a json import or
-a call to open, read_text, write_text, read_bytes or write_bytes fails it.
+codemix.fileio is the one module that opens files and speaks JSON: in every
+other module a json import or a call to open, read_text, write_text,
+read_bytes or write_bytes fails. codemix.tags owns language codes and
+composite tags: it imports only errors from the package, the corpus and
+evaluation layers reach tags without the scorer (detector, langid), and the
+language-code pattern is used nowhere else.
 """
 import ast
 from pathlib import Path
@@ -42,3 +46,34 @@ def test_crossings_are_detected():
     assert boundary_crossings(source) == [
         "1: import json", "2: from json", "3: open()", "4: write_text()"
     ]
+
+
+def tree(module: str) -> ast.AST:
+    return ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+
+
+def package_imports(module: str) -> set[str]:
+    """The codemix modules that ``module`` imports, by name."""
+    found = set()
+    for node in ast.walk(tree(module)):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_tags_imports_only_errors():
+    assert package_imports("tags.py") == {"errors"}
+
+
+@pytest.mark.parametrize("module", ["corpus.py", "evaluation.py", "synth.py"])
+def test_module_reaches_tags_without_the_scorer(module):
+    assert "tags" in package_imports(module)
+    assert package_imports(module).isdisjoint({"detector", "langid"})
+
+
+def test_language_code_pattern_is_used_only_in_tags():
+    def uses_pattern(module):
+        return any("LANG_CODE_RE" in (getattr(n, "id", None), getattr(n, "attr", None),
+                                      getattr(n, "name", None)) for n in ast.walk(tree(module)))
+
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if uses_pattern(p.name)] == ["tags.py"]

@@ -363,6 +363,22 @@ class TestDetect:
         assert code == 0
         assert out.read_text(encoding="utf-8") == ""
 
+    @pytest.mark.parametrize("chunks", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "body", ["", '{"text": "123"}\n', '{"text": "123"}\n{"text": "hello there"}\n'],
+        ids=["empty", "all-empty-text", "empty-text-first"],
+    )
+    def test_chunk_count_below_one_fails_before_output(self, tmp_path, profile_dir, capsys,
+                                                        chunks, body):
+        src = tmp_path / "in.jsonl"
+        src.write_text(body, encoding="utf-8")
+        code = run(["detect", "--profiles", str(profile_dir), "--input", str(src),
+                    "--chunks", chunks])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1
+        assert captured.out == ""
+
     def test_detect_output_schema(self, tmp_path, profile_dir, synth_corpus):
         out = tmp_path / "tagged.jsonl"
         code = run(["detect", "--profiles", str(profile_dir), "--input", str(synth_corpus),

@@ -19,7 +19,6 @@ from codemix.corpus import (
 )
 from codemix import langid
 from codemix.cli import run
-from codemix.detector import LanguageTag
 from codemix.errors import (
     EmptyInput,
     InsufficientPopulation,
@@ -28,6 +27,7 @@ from codemix.errors import (
     ParseError,
 )
 from codemix.evaluation import chi_square_gof
+from codemix.tags import LanguageTag
 
 
 def jsonl(*records) -> io.StringIO:

@@ -4,15 +4,9 @@ import pytest
 
 from codemix import textnorm
 from codemix.corpus import Document
-from codemix.detector import (
-    LanguageTag,
-    UND_TAG,
-    aggregate,
-    detect,
-    detect_all,
-    split_chunks,
-)
+from codemix.detector import aggregate, detect, detect_all, split_chunks
 from codemix.errors import EmptyTokens, InvalidConfig
+from codemix.tags import UND_TAG, LanguageTag
 
 
 class TestLanguageTag:
@@ -37,6 +31,8 @@ class TestLanguageTag:
             LanguageTag.parse("und,en")
         with pytest.raises(InvalidConfig):
             LanguageTag.parse("EN")
+        with pytest.raises(InvalidConfig):
+            LanguageTag([5])
 
     def test_multilingual_flag(self):
         assert LanguageTag.parse("zu,en").is_multilingual

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from codemix.detector import LanguageTag
 from codemix.errors import (
     DimensionMismatch,
     DomainError,
@@ -27,6 +26,7 @@ from codemix.evaluation import (
     report_document,
 )
 from codemix.corpus import label_distribution
+from codemix.tags import LanguageTag
 from oracles import chi2_sf_quadrature, confusion_by_loops, metrics_by_loops
 
 A = LanguageTag.parse("aa")

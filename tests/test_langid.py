@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import random
 
 import pytest
@@ -346,6 +347,13 @@ class TestProfileIO:
             first = path.read_bytes()
             save_profile(load_profile(path), path)
             assert path.read_bytes() == first
+
+    def test_unencodable_gram_names_the_path(self, tmp_path):
+        path = tmp_path / "xa.profile"
+        with pytest.raises(UnicodeError) as excinfo:
+            save_profile(LanguageProfile("xa", 1, 1, 0.5, {"\ud800": 1}), path)
+        assert str(excinfo.value).startswith(f"{path}: ")
+        assert os.listdir(tmp_path) == []
 
     def test_version_mismatch(self, tmp_path):
         profile = train(["some text"], "aa")

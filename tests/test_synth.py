@@ -59,6 +59,8 @@ class TestMixSpecValidation:
     def test_reserved_code(self, pools):
         with pytest.raises(InvalidSpec):
             spec_for(*pools, lang_a="und")
+        with pytest.raises(InvalidSpec):
+            spec_for(*pools, lang_a=5, lang_b="en")
 
 
 class TestGenerate:
