@@ -1,73 +1,31 @@
-"""Trainable language identification and code-switching detection toolkit."""
+"""Trainable language identification and code-switching detection toolkit.
 
-from .corpus import Document, SampleSpec, dedupe, label_distribution, load, sample
-from .detector import (
-    ChunkResult,
-    DetectionResult,
-    aggregate,
-    detect,
-    detect_all,
-    split_chunks,
-)
-from .evaluation import (
-    ChiSquareResult,
-    ConfusionMatrix,
-    EvalReport,
-    chi2_sf,
-    chi_square_gof,
-    confusion,
-    majority_baseline,
-    metrics,
-)
-from .langid import (
-    LanguageProfile,
-    Prediction,
-    ProfileSet,
-    identify,
-    load_profile,
-    load_profile_set,
-    save_profile,
-    score,
-    train,
-)
-from .synth import MixSpec, generate
-from .tags import LanguageTag
-from .textnorm import normalize
+Each public name is imported from the module that defines it when it is
+first used (PEP 562), so ``import codemix.tags`` loads only tags and errors.
+"""
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ChiSquareResult",
-    "ChunkResult",
-    "ConfusionMatrix",
-    "DetectionResult",
-    "Document",
-    "EvalReport",
-    "LanguageProfile",
-    "LanguageTag",
-    "MixSpec",
-    "Prediction",
-    "ProfileSet",
-    "SampleSpec",
-    "aggregate",
-    "chi2_sf",
-    "chi_square_gof",
-    "confusion",
-    "dedupe",
-    "detect",
-    "detect_all",
-    "generate",
-    "identify",
-    "label_distribution",
-    "load",
-    "load_profile",
-    "load_profile_set",
-    "majority_baseline",
-    "metrics",
-    "normalize",
-    "sample",
-    "save_profile",
-    "score",
-    "split_chunks",
-    "train",
-]
+#: Each public name, under the module that defines it.
+_EXPORTS = {
+    "corpus": ("Document", "SampleSpec", "dedupe", "label_distribution", "load", "sample"),
+    "detector": ("ChunkResult", "DetectionResult", "aggregate", "detect", "detect_all",
+                 "split_chunks"),
+    "evaluation": ("ChiSquareResult", "ConfusionMatrix", "EvalReport", "chi_square_gof",
+                   "confusion", "majority_baseline", "metrics"),
+    "langid": ("LanguageProfile", "Prediction", "ProfileSet", "identify", "load_profile",
+               "load_profile_set", "save_profile", "score", "train"),
+    "special": ("chi2_sf",),
+    "synth": ("MixSpec", "generate"),
+    "tags": ("LanguageTag",),
+    "textnorm": ("normalize",),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)

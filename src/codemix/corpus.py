@@ -46,10 +46,11 @@ class SampleSpec:
     stratum: TagPredicate | None = None
 
     def __post_init__(self) -> None:
-        if self.n <= 0:
-            raise InvalidConfig(f"sample size must be positive, got {self.n}")
-        if self.seed < 0:
-            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed}")
+        # bool is an int subclass
+        if type(self.n) is not int or self.n <= 0:
+            raise InvalidConfig(f"sample size must be a positive integer, got {self.n!r}")
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
 
 
 #: One shared LanguageTag per distinct tag text, so "zu,en" keeps its own order.

@@ -46,9 +46,9 @@ class DetectionResult:
 
 
 def check_chunks(k: int) -> None:
-    """Raise InvalidConfig unless ``k`` is a chunk count: at least 1."""
-    if k < 1:
-        raise InvalidConfig(f"chunk count must be at least 1, got {k}")
+    """Raise InvalidConfig unless ``k`` is a chunk count: an integer of at least 1."""
+    if type(k) is not int or k < 1:  # bool is an int subclass
+        raise InvalidConfig(f"chunk count must be an integer of at least 1, got {k!r}")
 
 
 def split_chunks(tokens: Sequence[str], k: int) -> list[list[str]]:

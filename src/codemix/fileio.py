@@ -27,18 +27,29 @@ def open_text(target: str | Path | IO[str], mode: str = "r") -> ContextManager[I
     "-" is stdin or stdout, and a file that is already open passes through
     unchanged; neither is closed on exit. A file written by path (through any
     symlink) is replaced only on a clean exit, unless it is special, like /dev/null.
-    Invalid UTF-8 in a file read by path is a UnicodeError naming its line.
+    Invalid UTF-8 in a file read by path is a UnicodeError naming its line;
+    text that UTF-8 cannot encode, written by path, is one naming the file.
     """
     if not isinstance(target, (str, Path)):
         return nullcontext(target)
     if target == "-":
         return nullcontext(sys.stdin if mode == "r" else sys.stdout)
-    if mode == "w":  # open() follows /dev/fd/N to a pipe that realpath cannot name
-        path = os.path.realpath(target)
-        if not os.path.exists(target) or os.path.isfile(target) and os.path.isfile(path):
-            return _replacing(path)
-        return open(target, mode, **_TEXT_MODES[mode])
-    return _reading(target)
+    return _writing(target) if mode == "w" else _reading(target)
+
+
+@contextmanager
+def _writing(target: str | Path) -> Iterator[IO[str]]:
+    """``target`` opened for writing; text UTF-8 cannot encode is a UnicodeError naming the file."""
+    path = os.path.realpath(target)
+    if not os.path.exists(target) or os.path.isfile(target) and os.path.isfile(path):
+        opened = _replacing(path)
+    else:  # open() follows /dev/fd/N to a pipe that realpath cannot name
+        opened, path = open(target, "w", **_TEXT_MODES["w"]), target
+    try:
+        with opened as fh:
+            yield fh
+    except UnicodeEncodeError as exc:  # name the file, as a failed read does
+        raise UnicodeError(f"{path}: written text is not UTF-8: {exc.reason}") from exc
 
 
 @contextmanager
@@ -83,10 +94,8 @@ def _replacing(path: str) -> Iterator[IO[str]]:
                 os.fchmod(fd, mode_bits)
             yield fh
         os.replace(tmp, path)
-    except BaseException as exc:
+    except BaseException:
         os.unlink(tmp)
-        if isinstance(exc, UnicodeEncodeError):  # name the file, as a failed read does
-            raise UnicodeError(f"{path}: written text is not UTF-8: {exc.reason}") from exc
         raise
 
 

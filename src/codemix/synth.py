@@ -44,14 +44,17 @@ class MixSpec:
         if set(self.source_a) & set(self.source_b):
             overlap = sorted(set(self.source_a) & set(self.source_b))[:5]
             raise InvalidSpec(f"token pools overlap: {overlap}")
-        if self.n_docs <= 0:
-            raise InvalidSpec(f"n_docs must be positive, got {self.n_docs}")
-        if not 0.0 <= self.mix_rate <= 1.0:
-            raise InvalidSpec(f"mix_rate must be in [0, 1], got {self.mix_rate}")
-        if self.tokens_per_doc < 4:
-            raise InvalidSpec(f"tokens_per_doc must be at least 4, got {self.tokens_per_doc}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be an unsigned integer, got {self.seed}")
+        # bool is an int subclass, and a float count fails only later, in generate
+        if type(self.n_docs) is not int or self.n_docs <= 0:
+            raise InvalidSpec(f"n_docs must be a positive integer, got {self.n_docs!r}")
+        if type(self.mix_rate) not in (int, float) or not 0.0 <= self.mix_rate <= 1.0:
+            raise InvalidSpec(f"mix_rate must be in [0, 1], got {self.mix_rate!r}")
+        if type(self.tokens_per_doc) is not int or self.tokens_per_doc < 4:
+            raise InvalidSpec(
+                f"tokens_per_doc must be an integer of at least 4, got {self.tokens_per_doc!r}"
+            )
+        if type(self.seed) is not int or self.seed < 0:
+            raise InvalidSpec(f"seed must be an unsigned integer, got {self.seed!r}")
 
 
 def _pick(rng: random.Random, pool: Sequence[str]) -> str:

@@ -5,9 +5,14 @@ other module a json import or a call to open, read_text, write_text,
 read_bytes or write_bytes fails. codemix.tags owns language codes and
 composite tags: it imports only errors from the package, the corpus and
 evaluation layers reach tags without the scorer (detector, langid), and the
-language-code pattern is used nowhere else.
+language-code pattern is used nowhere else. The package imports a module
+only when one of its public names is first used, so importing a module loads
+no more than that module needs.
 """
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -77,3 +82,39 @@ def test_language_code_pattern_is_used_only_in_tags():
                                       getattr(n, "name", None)) for n in ast.walk(tree(module)))
 
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if uses_pattern(p.name)] == ["tags.py"]
+
+
+def loaded_after(statement: str) -> set[str]:
+    """The codemix modules a fresh interpreter holds after running ``statement``."""
+    code = f"import sys\n{statement}\nprint(*[m for m in sys.modules if m.startswith('codemix')])"
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    return set(done.stdout.split())
+
+
+def test_importing_tags_loads_only_tags_and_errors():
+    assert loaded_after("import codemix.tags") == {"codemix", "codemix.errors", "codemix.tags"}
+
+
+def test_importing_evaluation_leaves_out_the_scorer_and_synth():
+    loaded = loaded_after("import codemix.evaluation")
+    assert "codemix.evaluation" in loaded
+    assert loaded.isdisjoint({"codemix.langid", "codemix.detector", "codemix.synth"})
+
+
+@pytest.mark.parametrize("name", codemix.__all__)
+def test_public_name_comes_from_its_defining_module(name):
+    assert getattr(codemix, name).__module__ == f"codemix.{codemix._MODULE_OF[name]}"
+
+
+def test_star_import_binds_every_public_name():
+    namespace = {}
+    exec("from codemix import *", namespace)
+    assert len(codemix.__all__) == 33
+    assert set(namespace) - {"__builtins__"} == set(codemix.__all__)
+
+
+def test_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        codemix.no_such_name

@@ -226,10 +226,9 @@ class TestSample:
             sample(self.make_docs(3), SampleSpec(n=5, seed=0))
 
     def test_invalid_spec(self):
-        with pytest.raises(InvalidConfig):
-            SampleSpec(n=0, seed=0)
-        with pytest.raises(InvalidConfig):
-            SampleSpec(n=5, seed=-1)
+        for n, seed in ((0, 0), (5, -1), (2.5, 0), ("3", 1), (True, 1.5), (5, 1.5), (5, True)):
+            with pytest.raises(InvalidConfig):
+                SampleSpec(n=n, seed=seed)
 
     def test_roughly_uniform_across_seeds(self):
         # 600 draws of 2-of-6; a grossly non-uniform sampler fails this

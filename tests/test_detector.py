@@ -61,8 +61,9 @@ class TestSplitChunks:
     def test_errors(self):
         with pytest.raises(EmptyTokens):
             split_chunks([], 4)
-        with pytest.raises(InvalidConfig):
-            split_chunks(["a"], 0)
+        for k in (0, 1.5, True, "2"):
+            with pytest.raises(InvalidConfig):
+                split_chunks(["a", "b", "c"], k)
 
     def test_properties_small_grid(self):
         for t in range(1, 60):

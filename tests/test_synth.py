@@ -39,18 +39,24 @@ class TestMixSpecValidation:
             spec_for(("two words",), pools[1])
 
     def test_tokens_per_doc_floor(self, pools):
-        with pytest.raises(InvalidSpec):
-            spec_for(*pools, tokens_per_doc=3)
+        for value in (3, 12.0, True, "12"):
+            with pytest.raises(InvalidSpec):
+                spec_for(*pools, tokens_per_doc=value)
 
     def test_mix_rate_bounds(self, pools):
-        with pytest.raises(InvalidSpec):
-            spec_for(*pools, mix_rate=1.5)
-        with pytest.raises(InvalidSpec):
-            spec_for(*pools, mix_rate=-0.1)
+        for value in (1.5, -0.1, float("nan"), "0.5"):
+            with pytest.raises(InvalidSpec):
+                spec_for(*pools, mix_rate=value)
 
     def test_n_docs_positive(self, pools):
-        with pytest.raises(InvalidSpec):
-            spec_for(*pools, n_docs=0)
+        for value in (0, 2.5, True, "5"):
+            with pytest.raises(InvalidSpec):
+                spec_for(*pools, n_docs=value)
+
+    def test_seed_unsigned_integer(self, pools):
+        for value in (-1, 1.5, True, "1"):
+            with pytest.raises(InvalidSpec):
+                spec_for(*pools, seed=value)
 
     def test_same_language_twice(self, pools):
         with pytest.raises(InvalidSpec):
