@@ -15,6 +15,9 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 from pathlib import Path
 from typing import Iterable
 
@@ -44,14 +47,25 @@ def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
         raise InvalidConfig(f"smoothing constant must be positive and finite, got {alpha!r}")
 
 
-def extract_ngrams(text: str, n_min: int, n_max: int) -> Counter[str]:
-    """Count every contiguous codepoint n-gram of each order in [n_min, n_max]."""
-    grams: Counter[str] = Counter()
-    size = len(text)
-    for n in range(n_min, n_max + 1):
-        for i in range(size - n + 1):
-            grams[text[i : i + n]] += 1
-    return grams
+def extract_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
+    """Every contiguous codepoint n-gram of each order in [n_min, n_max], orders ascending."""
+    return [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
+
+
+class _LogProbs(dict):
+    """log((count + alpha) / denom[order]) per (order, count), stored on first use.
+
+    A gram's smoothed log probability depends only on its order and training
+    count, so the memo is bounded by the profile, not by the text scored.
+    """
+
+    def __init__(self, alpha: float, denom: dict[int, float]) -> None:
+        self.alpha, self.denom = alpha, denom
+
+    def __missing__(self, key: tuple[int, int]) -> float:
+        n, count = key
+        value = self[key] = math.log((count + self.alpha) / self.denom[n])
+        return value
 
 
 @dataclass
@@ -71,9 +85,7 @@ class LanguageProfile:
     alpha: float
     counts: dict[str, int]
     total_per_order: dict[int, int] = field(init=False)
-
-    # total + alpha * (distinct grams + 1 unseen slot), per order
-    _denom: dict[int, float] = field(init=False, repr=False, compare=False)
+    _log_prob: _LogProbs = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         check_code(self.lang)
@@ -90,16 +102,13 @@ class LanguageProfile:
             totals[n] += c
             vocab[n] += 1
         self.total_per_order = totals
-        try:
-            self._denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
+        try:  # total + alpha * (distinct grams + 1 unseen slot), per order
+            denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
         except OverflowError as exc:
             raise InvalidConfig("count table totals are too large for a float") from exc
-        if not min(self.alpha / d for d in self._denom.values()) > 0:
+        if not min(self.alpha / d for d in denom.values()) > 0:
             raise InvalidConfig(f"alpha {self.alpha!r} leaves unseen grams no probability")
-
-    def gram_log_prob(self, gram: str) -> float:
-        """Additively smoothed log probability of one gram."""
-        return math.log((self.counts.get(gram, 0) + self.alpha) / self._denom[len(gram)])
+        self._log_prob = _LogProbs(self.alpha, denom)
 
 
 @dataclass(frozen=True)
@@ -157,20 +166,24 @@ def train(
     return LanguageProfile(lang, n_min, n_max, alpha, counts=dict(counts))
 
 
-def score(text: str, profile: LanguageProfile) -> float:
-    """Mean log probability of ``text``'s pooled n-grams under ``profile``.
+def score(text: str, profiles: ProfileSet) -> dict[str, float]:
+    """Mean log probability of ``text``'s pooled n-grams under each profile.
 
-    ``text`` must already be normalized. Raises EmptyText when no grams
-    can be extracted.
+    ``text`` must already be normalized. Its grams are extracted and counted
+    once; each profile then adds count * log-prob over the distinct grams in
+    first-occurrence order. Raises EmptyText when no grams can be extracted.
     """
-    grams = extract_ngrams(text, profile.n_min, profile.n_max)
-    total = sum(grams.values())
-    if total == 0:
+    grams = extract_ngrams(text, profiles.n_min, profiles.n_max)
+    if not grams:
         raise EmptyText("text yields no n-grams to score")
-    acc = 0.0
-    for gram, c in grams.items():
-        acc += c * profile.gram_log_prob(gram)
-    return acc / total
+    counted = Counter(grams)
+    orders = list(map(len, counted))
+    scores = {}
+    for lang, p in profiles.profiles.items():
+        log_probs = map(p._log_prob.__getitem__, zip(orders, map(p.counts.get, counted, repeat(0))))
+        # reduce, not sum(): sum() compensates float sums from Python 3.12 on
+        scores[lang] = reduce(add, map(mul, counted.values(), log_probs), 0.0) / len(grams)
+    return scores
 
 
 def identify(
@@ -185,16 +198,18 @@ def identify(
     single reserved prediction ("und", confidence 1) is returned instead of
     an unreliable guess. Otherwise every profile is scored and confidences
     are a softmax over the mean log likelihoods; ties rank by ascending
-    language code.
+    language code. Raises InvalidConfig unless ``min_chars`` is an int.
     """
+    if type(min_chars) is not int:  # bool is an int subclass
+        raise InvalidConfig(f"min_chars must be an integer, got {min_chars!r}")
     normalized = textnorm.normalize(text)
     significant = len(normalized) - normalized.count(" ")
     if significant < max(min_chars, 1) or len(normalized) < profiles.n_min:
         return [Prediction(UND, 0.0, 1.0)]
 
-    scored = [(lang, score(normalized, p)) for lang, p in profiles.profiles.items()]
-    peak = max(s for _, s in scored)
-    weights = [(lang, s, math.exp(s - peak)) for lang, s in scored]
+    scored = score(normalized, profiles)
+    peak = max(scored.values())
+    weights = [(lang, s, math.exp(s - peak)) for lang, s in scored.items()]
     # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
     denom = 0.0
     for _, _, w in weights:

@@ -10,11 +10,25 @@ from __future__ import annotations
 
 import unicodedata
 
-# First letter of the Unicode general category decides a codepoint's fate:
-# letters and marks are kept, everything else (P, S, N, C, Z) is dropped or,
-# when whitespace, turned into a separator. Extended_Pictographic codepoints
-# all carry S*, P* or Cn categories, so emoji fall out with the symbols.
-_KEEP = ("L", "M")
+
+class _Fates(dict):
+    """Codepoint -> its fate under normalize, decided on first sight.
+
+    The first letter of the Unicode general category decides: letters and
+    marks are kept, everything else (P, S, N, C, Z) is dropped (None) or,
+    when whitespace, turned into a separator. Extended_Pictographic
+    codepoints all carry S*, P* or Cn categories, so emoji fall out with the
+    symbols. Each entry depends only on its codepoint, so the table fills
+    the same way from any thread and is bounded by Unicode.
+    """
+
+    def __missing__(self, cp: int) -> str | None:
+        ch = chr(cp)
+        fate = self[cp] = " " if ch.isspace() else ch if unicodedata.category(ch)[0] in "LM" else None
+        return fate
+
+
+_FATES = _Fates()
 
 
 def normalize(raw: str) -> str:
@@ -25,14 +39,7 @@ def normalize(raw: str) -> str:
     outright (``"2019-07-01"`` leaves nothing behind, ``"don't"`` becomes
     ``"dont"``). Empty output is valid. Idempotent.
     """
-    folded = raw.casefold()
-    kept: list[str] = []
-    for ch in folded:
-        if ch.isspace():
-            kept.append(" ")
-        elif unicodedata.category(ch)[0] in _KEEP:
-            kept.append(ch)
-    return " ".join("".join(kept).split())
+    return " ".join(raw.casefold().translate(_FATES).split())
 
 
 def tokenize(normalized: str) -> list[str]:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+import unicodedata
 
 
 def chi2_pdf(t: float, k: int) -> float:
@@ -57,6 +58,41 @@ def score_by_loops(text: str, profile) -> float:
             log_sum += math.log(p)
             grams += 1
     return log_sum / grams
+
+
+def score_in_gram_order(text: str, profile) -> float:
+    """Mean log gram probability summed gram by gram, in the order the scorer must keep.
+
+    Each distinct gram adds ``c * log((count + alpha) / denom)`` once, in
+    first-occurrence order with orders ascending, so the float sum is
+    bit-comparable with any scorer that adds the same terms in that order.
+    """
+    occurrences: dict[str, int] = {}
+    for n in range(profile.n_min, profile.n_max + 1):
+        for i in range(len(text) - n + 1):
+            gram = text[i : i + n]
+            occurrences[gram] = occurrences.get(gram, 0) + 1
+    total = {n: 0 for n in range(profile.n_min, profile.n_max + 1)}
+    vocab = dict.fromkeys(total, 1)  # one slot for every unseen gram
+    for gram, count in profile.counts.items():
+        total[len(gram)] += count
+        vocab[len(gram)] += 1
+    acc = 0.0
+    for gram, c in occurrences.items():
+        denom = total[len(gram)] + profile.alpha * vocab[len(gram)]
+        acc += c * math.log((profile.counts.get(gram, 0) + profile.alpha) / denom)
+    return acc / sum(occurrences.values())
+
+
+def normalize_by_category(raw: str) -> str:
+    """Case-fold, keep letters and marks, turn whitespace into spaces, one codepoint at a time."""
+    kept = []
+    for ch in raw.casefold():
+        if ch.isspace():
+            kept.append(" ")
+        elif unicodedata.category(ch)[0] in ("L", "M"):
+            kept.append(ch)
+    return " ".join("".join(kept).split())
 
 
 def metrics_by_loops(gold: list[str], pred: list[str]) -> dict:

@@ -104,6 +104,11 @@ class TestAggregate:
 
 
 class TestDetect:
+    @pytest.mark.parametrize("min_chars", ["3", None, 1.5, True])
+    def test_min_chars_must_be_an_int(self, trained_profiles, min_chars):
+        with pytest.raises(InvalidConfig):
+            detect(Document(id="d", text="abc abd"), trained_profiles, min_chars=min_chars)
+
     def test_mixed_document_gets_both_languages(self, trained_profiles, synthetic_languages):
         pool_a, _ = synthetic_languages["xa"]
         pool_b, _ = synthetic_languages["xb"]

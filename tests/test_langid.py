@@ -3,6 +3,8 @@ import json
 import math
 import os
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -27,7 +29,7 @@ from codemix.langid import (
     train,
 )
 from codemix.textnorm import normalize
-from oracles import random_unicode_string, score_by_loops
+from oracles import random_unicode_string, score_by_loops, score_in_gram_order
 
 
 def random_profile(rng, lang="aa"):
@@ -170,7 +172,7 @@ class TestTrain:
             accepted += 1
             save_profile(profile, path)
             assert load_profile(path) == profile
-            assert math.isfinite(score("a" * profile.n_max, profile))
+            assert math.isfinite(score("a" * profile.n_max, ProfileSet({profile.lang: profile}))[profile.lang])
         assert 300 <= accepted <= 550
 
     def test_totals_consistent(self):
@@ -192,19 +194,19 @@ def tiny():
 class TestScore:
     def test_seen_gram(self, tiny):
         # (6 + 0.5) / (7 + 0.5 * 3) with vocabulary {a, space} + 1 unseen slot
-        assert score("a", tiny) == pytest.approx(-0.2682639865946794, abs=1e-12)
+        assert score("a", ProfileSet({"aa": tiny}))["aa"] == pytest.approx(-0.2682639865946794, abs=1e-12)
 
     def test_unseen_gram(self, tiny):
-        assert score("q", tiny) == pytest.approx(-2.833213344056216, abs=1e-12)
+        assert score("q", ProfileSet({"aa": tiny}))["aa"] == pytest.approx(-2.833213344056216, abs=1e-12)
 
     def test_empty_text(self, tiny):
         with pytest.raises(EmptyText):
-            score("", tiny)
+            score("", ProfileSet({"aa": tiny}))
 
     def test_text_shorter_than_n_min(self):
         profile = train(["abcdef"], "aa", n_min=3, n_max=4)
         with pytest.raises(EmptyText):
-            score("ab", profile)
+            score("ab", ProfileSet({"aa": profile}))
 
     def test_matches_loop_oracle(self):
         rng = random.Random(23)
@@ -214,9 +216,52 @@ class TestScore:
             text = " ".join(text.split())
             if len(text) < profile.n_min:
                 text = "a" * profile.n_min
-            assert score(text, profile) == pytest.approx(
+            assert score(text, ProfileSet({"aa": profile}))["aa"] == pytest.approx(
                 score_by_loops(text, profile), abs=1e-12
             )
+
+    def test_log_prob_memo_is_bounded_by_the_profile(self, synthetic_languages, overlapping_languages):
+        # a gram's log-prob is memoised by (order, training count), so no
+        # amount of scored text grows the memo past what the profile holds
+        sources = {"xa": synthetic_languages["xa"], "xb": overlapping_languages["xb"]}
+        profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
+        words = [word for pool, _ in sources.values() for word in pool]
+        rng = random.Random(2030)
+        scored = 0
+        for _ in range(2000):
+            text = normalize(" ".join(
+                random_unicode_string(rng) if rng.random() < 0.5 else rng.choice(words)
+                for _ in range(rng.randint(1, 6))
+            ))
+            if len(text) >= profiles.n_min:
+                score(text, profiles)
+                scored += 1
+        assert scored >= 1500
+        for p in profiles.profiles.values():
+            pairs = {(len(gram), c) for gram, c in p.counts.items()}
+            unseen = {(n, 0) for n in range(p.n_min, p.n_max + 1)}
+            assert set(p._log_prob) <= pairs | unseen
+            assert len(p._log_prob) <= len(pairs) + len(unseen)
+
+    def test_threads_filling_shared_memos_agree(self, overlapping_languages):
+        # the memos fill under contention; each entry is a pure function of
+        # its key, so every thread must read the single-threaded scores
+        def fresh():
+            return ProfileSet({lang: train(lines, lang) for lang, (_, lines) in overlapping_languages.items()})
+
+        texts = [normalize(line) for _, lines in overlapping_languages.values() for line in lines[:30]]
+        alone = fresh()
+        expected = [score(text, alone) for text in texts]
+        shared = fresh()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(lambda: [score(text, shared) for text in texts]) for _ in range(8)]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expected] * 8
 
 
 class TestIdentify:
@@ -246,6 +291,11 @@ class TestIdentify:
             langid.Prediction("und", 0.0, 1.0)
         ]
         assert identify("ab", trained_profiles, min_chars=3)[0].lang == "und"
+
+    @pytest.mark.parametrize("min_chars", ["3", None, 1.5, True])
+    def test_min_chars_must_be_an_int(self, trained_profiles, min_chars):
+        with pytest.raises(InvalidConfig):
+            identify("abc abd", trained_profiles, min_chars=min_chars)
 
     def test_empty_profileset(self):
         with pytest.raises(EmptyProfileSet):
@@ -291,10 +341,15 @@ class TestIdentify:
             assert large[lang] == value
 
     def test_ranked_scores_are_bit_equal_to_score(self, synthetic_languages, overlapping_languages):
-        # the reference for any faster scorer: not one bit of drift from score()
+        # the reference for any faster scorer: not one bit of drift from the
+        # gram-by-gram sum, also for an int alpha (xd)
         sources = {"xa": synthetic_languages["xa"], "xb": synthetic_languages["xb"],
-                   "xc": overlapping_languages["xa"]}
-        profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
+                   "xc": overlapping_languages["xa"], "xd": overlapping_languages["xb"]}
+        profiles = ProfileSet({
+            lang: train(lines, lang, alpha=1 if lang == "xd" else langid.DEFAULT_ALPHA)
+            for lang, (_, lines) in sources.items()
+        })
+        assert type(profiles.profiles["xd"].alpha) is int
         words = [word for pool, _ in sources.values() for word in pool]
         rng = random.Random(2028)
         compared = 0
@@ -305,16 +360,16 @@ class TestIdentify:
             )
             for p in identify(text, profiles):
                 if p.lang != "und":
-                    assert p.avg_log_likelihood == score(normalize(text), profiles.profiles[p.lang])
+                    expected = score_in_gram_order(normalize(text), profiles.profiles[p.lang])
+                    assert p.avg_log_likelihood == expected
                     compared += 1
-        assert compared >= 600
+        assert compared >= 800
 
     def test_self_consistency(self, trained_profiles, synthetic_languages):
         _, lines_a = synthetic_languages["xa"]
-        own = trained_profiles.profiles["xa"]
-        other = trained_profiles.profiles["xb"]
         for line in lines_a[:20]:
-            assert score(line, own) >= score(line, other)
+            scores = score(line, trained_profiles)
+            assert scores["xa"] >= scores["xb"]
 
 
 class TestProfileSet:
@@ -434,7 +489,7 @@ class TestProfileIO:
             loaded += 1
             save_profile(profile, path)
             assert load_profile(path) == profile
-            assert math.isfinite(score("zu", profile))
+            assert math.isfinite(score("zu", ProfileSet({profile.lang: profile}))[profile.lang])
         assert loaded >= 50 and failed >= 2000
 
     def test_not_json(self, tmp_path):

@@ -4,7 +4,7 @@ import unicodedata
 import pytest
 
 from codemix.textnorm import normalize, tokenize
-from oracles import random_unicode_string
+from oracles import normalize_by_category, random_unicode_string
 
 
 class TestNormalizeExamples:
@@ -85,6 +85,32 @@ class TestNormalizeProperties:
 
     def test_expanding_fold_case(self):
         assert normalize("GROß") == "gross"
+
+
+class TestNormalizeOracle:
+    # Only a sample of Unicode: each codepoint seen stays in the fate table.
+    def test_every_codepoint_below_u3000(self):
+        for cp in range(0x3000):
+            text = f"a{chr(cp)}B{chr(cp)}"
+            assert normalize(text) == normalize_by_category(text), hex(cp)
+
+    def test_strings_from_all_planes(self):
+        rng = random.Random(2031)
+        spaces = " \t\n\r\x0b\x0c\x85\xa0\u2003\u3000"
+
+        def piece():
+            kind = rng.random()
+            if kind < 0.2:
+                return "".join(rng.choice(spaces) for _ in range(rng.randint(1, 4)))
+            if kind < 0.35:
+                return chr(rng.randint(0x0300, 0x036F))  # combining marks
+            if kind < 0.6:
+                return rng.choice("aBcDÉßǅİﬁ")
+            return chr(rng.randrange(0x110000))
+
+        for _ in range(2000):
+            text = "".join(piece() for _ in range(rng.randint(0, 16)))
+            assert normalize(text) == normalize_by_category(text), ascii(text)
 
 
 def test_tokenize():

@@ -96,9 +96,9 @@ def test_detect_work(work):
         # once per document, then again per chunk inside identify
         "textnorm.normalize": DOCS + CHUNKS,
         "langid.identify": CHUNKS,
-        # each scored chunk is scored, and its grams extracted, once per profile
-        "langid.score": PROFILES * SCORED,
-        "langid.extract_ngrams": PROFILES * SCORED,
+        # each scored chunk's grams are extracted once and scored against every profile in one call
+        "langid.score": SCORED,
+        "langid.extract_ngrams": SCORED,
     }
 
 
