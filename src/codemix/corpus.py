@@ -21,8 +21,9 @@ from .errors import (
     InvalidConfig,
     MissingField,
     ParseError,
+    check_int,
 )
-from .tags import OTHER_CLASS, LanguageTag, tally_classes
+from .tags import OTHER_CLASS, LanguageTag, check_code, tally_classes
 
 TagPredicate = Callable[[LanguageTag | None], bool]
 
@@ -46,11 +47,8 @@ class SampleSpec:
     stratum: TagPredicate | None = None
 
     def __post_init__(self) -> None:
-        # bool is an int subclass
-        if type(self.n) is not int or self.n <= 0:
-            raise InvalidConfig(f"sample size must be a positive integer, got {self.n!r}")
-        if type(self.seed) is not int or self.seed < 0:
-            raise InvalidConfig(f"seed must be an unsigned integer, got {self.seed!r}")
+        check_int(self.n, 1, "sample size")
+        check_int(self.seed, 0, "seed")
 
 
 #: One shared LanguageTag per distinct tag text, so "zu,en" keeps its own order.
@@ -157,7 +155,8 @@ def _csv_records(
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
-        raise ParseError(f"invalid CSV: {exc}") from exc
+        # DictReader sets line_num after a row parses; its inner reader counts the failed row
+        raise ParseError(f"invalid CSV: {exc}", reader.reader.line_num) from exc
 
 
 def document_record(doc: Document) -> dict:
@@ -224,12 +223,14 @@ def exact_tag_stratum(tag_text: str) -> TagPredicate:
     return lambda tag: tag is not None and tag == wanted
 
 
-def pair_stratum(langs: Iterable[str]) -> TagPredicate:
+def pair_stratum(langs: Sequence[str]) -> TagPredicate:
     """Predicate matching two-language tags drawn from ``langs``.
 
     With ("en", "zu", "xh") this selects exactly the code-switched strata
     {en,zu}, {en,xh} and {zu,xh}.
     """
+    for code in langs:  # in the order given, so the code named does not depend on hash order
+        check_code(code)
     allowed = frozenset(langs)
     if len(allowed) < 2:
         raise InvalidConfig("pair stratum needs at least two language codes")

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import langid, textnorm
-from .errors import EmptyTokens, InvalidConfig
+from .errors import EmptyTokens, check_int
 from .langid import Prediction, ProfileSet
 from .tags import UND, UND_TAG, LanguageTag
 
@@ -47,8 +47,7 @@ class DetectionResult:
 
 def check_chunks(k: int) -> None:
     """Raise InvalidConfig unless ``k`` is a chunk count: an integer of at least 1."""
-    if type(k) is not int or k < 1:  # bool is an int subclass
-        raise InvalidConfig(f"chunk count must be an integer of at least 1, got {k!r}")
+    check_int(k, 1, "chunk count")
 
 
 def split_chunks(tokens: Sequence[str], k: int) -> list[list[str]]:

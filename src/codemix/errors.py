@@ -85,3 +85,9 @@ class DomainError(CodemixError):
 
 class InvalidSpec(CodemixError):
     """Synthetic corpus specification violates its invariants."""
+
+
+def check_int(value: object, least: int, what: str, error: type[CodemixError] = InvalidConfig) -> None:
+    """Raise ``error`` unless ``value`` is an int (never a bool) of at least ``least``."""
+    if type(value) is not int or value < least:
+        raise error(f"{what} must be an integer of at least {least}, got {value!r}")

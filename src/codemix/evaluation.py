@@ -21,6 +21,7 @@ from .errors import (
     EmptyMatrix,
     LengthMismatch,
     ZeroExpected,
+    check_int,
 )
 from .special import chi2_sf
 from .tags import OTHER_CLASS, LanguageTag, tally_classes
@@ -153,8 +154,9 @@ def chi_square_gof(
     Expected proportions are renormalized to sum to 1 (published tables
     often round), then E_i = N * p_i and the statistic is
     sum((O_i - E_i)^2 / E_i) with df = categories - 1. Raises DomainError
-    when a proportion or the statistic is not finite, or when a count or
-    a term does not fit in a float.
+    when a count is not an integer of at least 0, when a proportion or the
+    statistic is not finite, or when a count or a term does not fit in a
+    float.
     """
     if len(observed) != len(expected_props):
         raise DimensionMismatch(
@@ -162,8 +164,8 @@ def chi_square_gof(
         )
     if len(observed) < 2:
         raise DimensionMismatch("need at least two categories")
-    if any(o < 0 for o in observed):
-        raise DomainError(f"observed counts must be non-negative: {list(observed)}")
+    for o in observed:
+        check_int(o, 0, "an observed count", DomainError)
     if any(p <= 0 for p in expected_props):
         raise ZeroExpected(f"expected proportions must be positive: {list(expected_props)}")
     n = sum(observed)

@@ -1,4 +1,4 @@
-"""Regularized incomplete gamma function and the chi-square survival function.
+"""The chi-square survival function, by the regularized incomplete gamma function.
 
 The survival function (upper-tail probability) of a chi-square variable with
 ``k`` degrees of freedom is
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError
+from .errors import DomainError, check_int
 
 _EPS = 1e-16
 _MAX_ITER = 1000
@@ -69,28 +69,16 @@ def _upper_gamma_fraction(a: float, x: float) -> float:
     return math.exp(_log_prefactor(a, x)) * h
 
 
-def regularized_gamma_q(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) for a > 0, x >= 0."""
-    if a <= 0.0:
-        raise DomainError(f"shape parameter must be positive, got {a}")
-    if x < 0.0:
-        raise DomainError(f"argument must be non-negative, got {x}")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        q = 1.0 - _lower_gamma_series(a, x)
-    else:
-        q = _upper_gamma_fraction(a, x)
-    return min(1.0, max(0.0, q))
-
-
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail probability P(X > x) for a chi-square with k degrees of freedom.
 
-    Raises DomainError for negative x or k < 1.
+    Raises DomainError unless x >= 0 (so NaN fails) and k is an integer of at least 1.
     """
-    if x < 0.0:
+    if not x >= 0.0:
         raise DomainError(f"chi-square statistic must be non-negative, got {x}")
-    if k < 1:
-        raise DomainError(f"degrees of freedom must be at least 1, got {k}")
-    return regularized_gamma_q(k / 2.0, x / 2.0)
+    check_int(k, 1, "degrees of freedom", DomainError)
+    a, x = k / 2.0, x / 2.0  # sf(x; k) = Q(k/2, x/2)
+    if x == 0.0:
+        return 1.0
+    q = 1.0 - _lower_gamma_series(a, x) if x < a + 1.0 else _upper_gamma_fraction(a, x)
+    return min(1.0, max(0.0, q))

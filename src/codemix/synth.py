@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .corpus import Document
-from .errors import InvalidSpec
+from .errors import InvalidSpec, check_int
 from .tags import LanguageTag, check_code
 
 
@@ -44,17 +44,11 @@ class MixSpec:
         if set(self.source_a) & set(self.source_b):
             overlap = sorted(set(self.source_a) & set(self.source_b))[:5]
             raise InvalidSpec(f"token pools overlap: {overlap}")
-        # bool is an int subclass, and a float count fails only later, in generate
-        if type(self.n_docs) is not int or self.n_docs <= 0:
-            raise InvalidSpec(f"n_docs must be a positive integer, got {self.n_docs!r}")
+        check_int(self.n_docs, 1, "n_docs", InvalidSpec)
         if type(self.mix_rate) not in (int, float) or not 0.0 <= self.mix_rate <= 1.0:
             raise InvalidSpec(f"mix_rate must be in [0, 1], got {self.mix_rate!r}")
-        if type(self.tokens_per_doc) is not int or self.tokens_per_doc < 4:
-            raise InvalidSpec(
-                f"tokens_per_doc must be an integer of at least 4, got {self.tokens_per_doc!r}"
-            )
-        if type(self.seed) is not int or self.seed < 0:
-            raise InvalidSpec(f"seed must be an unsigned integer, got {self.seed!r}")
+        check_int(self.tokens_per_doc, 4, "tokens_per_doc", InvalidSpec)
+        check_int(self.seed, 0, "seed", InvalidSpec)
 
 
 def _pick(rng: random.Random, pool: Sequence[str]) -> str:

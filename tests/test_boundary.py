@@ -5,7 +5,9 @@ other module a json import or a call to open, read_text, write_text,
 read_bytes or write_bytes fails. codemix.tags owns language codes and
 composite tags: it imports only errors from the package, the corpus and
 evaluation layers reach tags without the scorer (detector, langid), and the
-language-code pattern is used nowhere else. The package imports a module
+language-code pattern is used nowhere else. errors.check_int holds the
+integer rule: outside errors and langid, no module writes ``type(x) is int``
+or ``type(x) is not int`` itself. The package imports a module
 only when one of its public names is first used, so importing a module loads
 no more than that module needs.
 """
@@ -82,6 +84,28 @@ def test_language_code_pattern_is_used_only_in_tags():
                                       getattr(n, "name", None)) for n in ast.walk(tree(module)))
 
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if uses_pattern(p.name)] == ["tags.py"]
+
+
+def int_type_tests(source: str) -> list[int]:
+    """The lines of ``source`` that compare ``type(...)`` with ``int`` by ``is`` or ``is not``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare) and {type(op) for op in node.ops} & {ast.Is, ast.IsNot}:
+            operands = [ast.unparse(o) for o in (node.left, *node.comparators)]
+            if "int" in operands and any(o.startswith("type(") for o in operands):
+                found.append(node.lineno)
+    return found
+
+
+def test_int_type_tests_are_detected():
+    source = "type(k) is not int\nint is type(k)\ntype(k) is str\ntype(k) in (int,)\nk is int\n"
+    assert int_type_tests(source) == [1, 2]
+
+
+def test_only_errors_and_langid_compare_types_with_int():
+    writers = [p.name for p in sorted(PACKAGE.glob("*.py"))
+               if int_type_tests(p.read_text(encoding="utf-8"))]
+    assert set(writers) - {"errors.py", "langid.py"} == set()
 
 
 def loaded_after(statement: str) -> set[str]:

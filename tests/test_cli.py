@@ -62,6 +62,7 @@ class TestUsageErrors:
 
     def test_malformed_numbers(self, capsys):
         assert run(["chisq", "--observed", "1,x", "--expected", "0.5,0.5"]) == 2
+        assert run(["chisq", "--observed", "1,2", "--expected", "0.5,abc"]) == 2
         capsys.readouterr()
 
 
@@ -196,6 +197,41 @@ class TestOperationalErrors:
         assert captured.err.startswith(f"codemix {argv[0]}: error: line 2: invalid JSON")
         assert len(captured.err.splitlines()) == 1
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, body, message",
+        [
+            (["distribution"], '{"id": "1", "text": 5}\n', "line 1: field 'text' is not a string"),
+            (["distribution"], "[1, 2]\n", "line 1: record is not a JSON object"),
+            (["distribution", "--input-format", "csv", "--id-field", "id"], "text,tags\nok,xa\n",
+             "CSV header has no 'id' column"),
+            (["distribution", "--input-format", "csv"],
+             'text,tags\nok,xa\n"' + "a" * 131_073 + '",xa\n', "line 3: invalid CSV: field larger than field limit (131072)"),
+            (["sample", "--n", "1", "--stratum", "EN"], '{"id": "1", "text": "ok"}\n',
+             "language code must be 2-8 lowercase ASCII letters, got 'EN'"),
+            (["sample", "--n", "1", "--pairs-of", "KA,LU"], '{"id": "1", "text": "ok"}\n',
+             "language code must be 2-8 lowercase ASCII letters, got 'KA'"),
+            (["sample", "--n", "1", "--pairs-of", "ka,lu,"], '{"id": "1", "text": "ok"}\n',
+             "language code must be 2-8 lowercase ASCII letters, got ''"),
+            (["evaluate"], '{"id": "1", "text": "ok", "tags": "xa"}\n',
+             "document '1' has no 'pred' tag"),
+        ],
+        ids=["text-not-str", "record-not-object", "csv-no-id-column", "csv-field-limit",
+             "bad-stratum", "bad-pair-code", "empty-pair-code", "evaluate-no-pred"],
+    )
+    def test_input_fault_names_itself(self, tmp_path, capsys, argv, body, message):
+        src = tmp_path / "in"
+        src.write_text(body, encoding="utf-8")
+        assert run([*argv, "--input", str(src)]) == 1
+        assert capsys.readouterr() == ("", f"codemix {argv[0]}: error: {message}\n")
+
+    def test_profile_that_is_not_an_object_names_its_path(self, tmp_path, profile_dir, capsys):
+        bad = profile_dir / "xc.profile"
+        bad.write_text("[]\n", encoding="utf-8")
+        src = tmp_path / "lines.txt"
+        src.write_text("hello world\n", encoding="utf-8")
+        assert run(["identify", "--profiles", str(profile_dir), "--input", str(src)]) == 1
+        assert capsys.readouterr().err == f"codemix identify: error: {bad}: expected a JSON object\n"
 
     @pytest.mark.parametrize(
         "argv", [["detect", "--profiles", "{profiles}"], ["dedupe"]], ids=lambda a: a[0]

@@ -258,8 +258,9 @@ class TestStrata:
         assert not pred(None)
 
     def test_pair_stratum_needs_two(self):
-        with pytest.raises(InvalidConfig):
-            pair_stratum(["en"])
+        for langs in (["en"], ["EN", "zu"], ["en", "zu", ""], ["und", "en"]):
+            with pytest.raises(InvalidConfig):
+                pair_stratum(langs)
 
 
 class TestLabelDistribution:

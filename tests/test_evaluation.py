@@ -259,6 +259,9 @@ class TestChiSquareGof:
             chi_square_gof([0, 0], [0.5, 0.5])
         with pytest.raises(DomainError):
             chi_square_gof([-1, 2], [0.5, 0.5])
+        for observed in ([1.5, 2], [True, 3]):
+            with pytest.raises(DomainError):
+                chi_square_gof(observed, [0.5, 0.5])
 
 
 class TestChi2Sf:
@@ -293,6 +296,9 @@ class TestChi2Sf:
             chi2_sf(-0.1, 3)
         with pytest.raises(DomainError):
             chi2_sf(1.0, 0)
+        for x, k in ((math.nan, 2), (1.0, 2.5), (1.0, True), (1.0, math.nan)):
+            with pytest.raises(DomainError):
+                chi2_sf(x, k)
 
 
 class TestReporting:
