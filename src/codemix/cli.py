@@ -80,7 +80,7 @@ def _cmd_identify(args: argparse.Namespace) -> int:
         for i, line in enumerate(_lines(args.input)):
             predictions = langid.identify(line, profiles, min_chars=args.min_chars)
             if args.format == "json":
-                out.write(dumps({"line": i, "predictions": [vars(p) for p in predictions]}) + "\n")
+                out.write(dumps({"line": i, "predictions": [p._asdict() for p in predictions]}) + "\n")
             else:
                 ranking = " ".join(f"{p.lang}:{p.confidence:.4f}" for p in predictions)
                 out.write(f"{i}\t{predictions[0].lang}\t{ranking}\n")
@@ -92,7 +92,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
     record["chunks"] = [
-        {"index": c.index, "text": c.text, **vars(c.prediction), "reliable": c.reliable}
+        {"index": c.index, "text": c.text, **c.prediction._asdict(), "reliable": c.reliable}
         for c in result.chunks
     ]
     return record
@@ -172,7 +172,7 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
     result = evaluation.chi_square_gof(args.observed, args.expected)
-    doc = {**vars(result), "p_display": evaluation.format_p_value(result.p_value)}
+    doc = {**result._asdict(), "p_display": evaluation.format_p_value(result.p_value)}
     return _report(args, doc, evaluation.render_chi_square(result))
 
 

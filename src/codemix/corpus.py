@@ -10,9 +10,8 @@ import csv
 import functools
 import random
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, IO, Iterable, Iterator, Sequence
+from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import fileio, textnorm
 from .errors import (
@@ -28,8 +27,7 @@ from .tags import OTHER_CLASS, LanguageTag, check_code, tally_classes
 TagPredicate = Callable[[LanguageTag | None], bool]
 
 
-@dataclass
-class Document:
+class Document(NamedTuple):
     """One text unit with optional gold and predicted composite tags."""
 
     id: str
@@ -38,17 +36,13 @@ class Document:
     pred_tag: LanguageTag | None = None
 
 
-@dataclass(frozen=True)
 class SampleSpec:
     """How to draw one evaluation dataset: size, seed, optional stratum."""
 
-    n: int
-    seed: int
-    stratum: TagPredicate | None = None
-
-    def __post_init__(self) -> None:
-        check_int(self.n, 1, "sample size")
-        check_int(self.seed, 0, "seed")
+    def __init__(self, n: int, seed: int, stratum: TagPredicate | None = None) -> None:
+        check_int(n, 1, "sample size")
+        check_int(seed, 0, "seed")
+        self.n, self.seed, self.stratum = n, seed, stratum
 
 
 #: One shared LanguageTag per distinct tag text, so "zu,en" keeps its own order.
@@ -120,11 +114,11 @@ def iter_load(
                 raise ParseError(f"duplicate document id {doc_id!r}", line)
             seen.add(doc_id)
 
-            yield Document(
-                id=doc_id,
-                text=text,
-                gold_tag=_parse_tag(record.get(tag_field), line) if tag_field else None,
-                pred_tag=_parse_tag(record.get(pred_field), line) if pred_field else None,
+            yield Document(  # positional: a named tuple takes keywords more slowly
+                doc_id,
+                text,
+                _parse_tag(record.get(tag_field), line) if tag_field else None,
+                _parse_tag(record.get(pred_field), line) if pred_field else None,
             )
 
 

@@ -7,8 +7,7 @@ the tag means the document code-switches.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import langid, textnorm
 from .errors import EmptyTokens, check_int
@@ -21,8 +20,7 @@ if TYPE_CHECKING:
 DEFAULT_CHUNKS = 4
 
 
-@dataclass(frozen=True)
-class ChunkResult:
+class ChunkResult(NamedTuple):
     """Top-1 identification for one chunk of a document."""
 
     index: int
@@ -35,8 +33,7 @@ class ChunkResult:
         return self.prediction.lang != UND
 
 
-@dataclass(frozen=True)
-class DetectionResult:
+class DetectionResult(NamedTuple):
     """Per-chunk predictions plus the aggregated document tag."""
 
     doc_id: str

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import label_distribution
 from .errors import (
@@ -31,8 +30,7 @@ from .tags import OTHER_CLASS, LanguageTag, tally_classes
 P_REPORT_FLOOR = 2.2e-16
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
+class ConfusionMatrix(NamedTuple):
     """counts[g][p] = documents with gold class g and predicted class p."""
 
     classes: tuple[str, ...]
@@ -43,23 +41,20 @@ class ConfusionMatrix:
         return sum(sum(row) for row in self.counts)
 
 
-@dataclass(frozen=True)
-class ClassMetrics:
+class ClassMetrics(NamedTuple):
     precision: float
     recall: float
     support: int
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     weighted_precision: float
     weighted_recall: float
     per_class: dict[str, ClassMetrics]
 
 
-@dataclass(frozen=True)
-class ChiSquareResult:
+class ChiSquareResult(NamedTuple):
     statistic: float
     df: int
     p_value: float
@@ -214,7 +209,7 @@ def report_document(
         "accuracy": report.accuracy,
         "weighted_precision": report.weighted_precision,
         "weighted_recall": report.weighted_recall,
-        "per_class": {label: vars(c) for label, c in report.per_class.items()},
+        "per_class": {label: c._asdict() for label, c in report.per_class.items()},
         "majority_class": baseline[0],
         "majority_baseline": baseline[1],
     }

@@ -104,6 +104,7 @@ def _reject_constant(name: str) -> float:
 
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+_ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
 
 
 def loads(text: str) -> Any:
@@ -116,6 +117,8 @@ def loads(text: str) -> Any:
 
 def dumps(obj: Any, **layout: Any) -> str:
     """Strict JSON text with non-ASCII kept; ``layout`` is e.g. indent or sort_keys."""
+    if not layout:
+        return _ENCODER.encode(obj)
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, **layout)
 
 

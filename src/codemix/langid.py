@@ -14,12 +14,11 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import reduce
 from itertools import repeat
 from operator import add, mul
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import fileio, textnorm
 from .errors import (
@@ -68,7 +67,6 @@ class _LogProbs(dict):
         return value
 
 
-@dataclass
 class LanguageProfile:
     """Trained n-gram model for one language.
 
@@ -79,40 +77,39 @@ class LanguageProfile:
     must leave unseen grams a positive probability. Immutable by convention.
     """
 
-    lang: str
-    n_min: int
-    n_max: int
-    alpha: float
-    counts: dict[str, int]
-    total_per_order: dict[int, int] = field(init=False)
-    _log_prob: _LogProbs = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        check_code(self.lang)
-        _check_orders(self.n_min, self.n_max, self.alpha)
-        if not isinstance(self.counts, dict):
-            raise InvalidConfig(f"count table must be a dict, got {type(self.counts).__name__}")
-        orders = range(self.n_min, self.n_max + 1)
+    def __init__(self, lang: str, n_min: int, n_max: int, alpha: float, counts: dict[str, int]) -> None:
+        check_code(lang)
+        _check_orders(n_min, n_max, alpha)
+        if not isinstance(counts, dict):
+            raise InvalidConfig(f"count table must be a dict, got {type(counts).__name__}")
+        orders = range(n_min, n_max + 1)
         totals = dict.fromkeys(orders, 0)
         vocab = dict.fromkeys(orders, 1)
-        for gram, c in self.counts.items():
+        for gram, c in counts.items():
             n = len(gram) if type(gram) is str else 0  # 0 is no order
             if n not in totals or type(c) is not int or c < 0:
                 raise InvalidConfig(f"count table entry {gram!r}={c!r} out of bounds")
             totals[n] += c
             vocab[n] += 1
-        self.total_per_order = totals
         try:  # total + alpha * (distinct grams + 1 unseen slot), per order
-            denom = {n: totals[n] + self.alpha * vocab[n] for n in orders}
+            denom = {n: totals[n] + alpha * vocab[n] for n in orders}
         except OverflowError as exc:
             raise InvalidConfig("count table totals are too large for a float") from exc
-        if not min(self.alpha / d for d in denom.values()) > 0:
-            raise InvalidConfig(f"alpha {self.alpha!r} leaves unseen grams no probability")
-        self._log_prob = _LogProbs(self.alpha, denom)
+        if not min(alpha / d for d in denom.values()) > 0:
+            raise InvalidConfig(f"alpha {alpha!r} leaves unseen grams no probability")
+        self.lang, self.n_min, self.n_max, self.alpha, self.counts = lang, n_min, n_max, alpha, counts
+        self.total_per_order = totals
+        self._log_prob = _LogProbs(alpha, denom)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LanguageProfile):
+            return NotImplemented
+        return (self.lang, self.n_min, self.n_max, self.alpha, self.counts) == (
+            other.lang, other.n_min, other.n_max, other.alpha, other.counts
+        )
 
 
-@dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """One language hypothesis for a piece of text."""
 
     lang: str
@@ -120,23 +117,19 @@ class Prediction:
     confidence: float
 
 
-@dataclass
 class ProfileSet:
     """Profiles for the candidate languages; order ranges must agree."""
 
-    profiles: dict[str, LanguageProfile]
-    n_min: int = field(init=False)
-    n_max: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.profiles:
+    def __init__(self, profiles: dict[str, LanguageProfile]) -> None:
+        if not profiles:
             raise EmptyProfileSet("no language profiles given")
-        ranges = {(p.n_min, p.n_max) for p in self.profiles.values()}
+        ranges = {(p.n_min, p.n_max) for p in profiles.values()}
         if len(ranges) > 1:
             raise InvalidConfig(f"profiles disagree on n-gram orders: {sorted(ranges)}")
-        for lang, profile in self.profiles.items():
+        for lang, profile in profiles.items():
             if lang != profile.lang:
                 raise InvalidConfig(f"profile keyed {lang!r} claims lang {profile.lang!r}")
+        self.profiles = profiles
         self.n_min, self.n_max = ranges.pop()
 
 

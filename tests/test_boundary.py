@@ -108,12 +108,15 @@ def test_only_errors_and_langid_compare_types_with_int():
     assert set(writers) - {"errors.py", "langid.py"} == set()
 
 
-def loaded_after(statement: str) -> set[str]:
-    """The codemix modules a fresh interpreter holds after running ``statement``."""
-    code = f"import sys\n{statement}\nprint(*[m for m in sys.modules if m.startswith('codemix')])"
+def loaded_after(statement: str, prefix: str = "codemix") -> set[str]:
+    """The modules starting with ``prefix`` that a fresh interpreter holds after ``statement``.
+
+    The interpreter runs with -S, so no site hook (a .pth file) imports anything first.
+    """
+    code = f"import sys\n{statement}\nprint(*[m for m in sys.modules if m.startswith({prefix!r})])"
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True)
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
     return set(done.stdout.split())
 
 
@@ -125,6 +128,11 @@ def test_importing_evaluation_leaves_out_the_scorer_and_synth():
     loaded = loaded_after("import codemix.evaluation")
     assert "codemix.evaluation" in loaded
     assert loaded.isdisjoint({"codemix.langid", "codemix.detector", "codemix.synth"})
+
+
+def test_cli_start_up_generates_no_code():
+    """Records are named tuples and plain classes, so the CLI needs neither module."""
+    assert loaded_after("import codemix.cli", prefix="").isdisjoint({"dataclasses", "inspect"})
 
 
 @pytest.mark.parametrize("name", codemix.__all__)

@@ -169,6 +169,18 @@ class TestSaveJsonl:
         assert document_record(doc)["tags"] == "zu"
 
 
+def test_document_is_an_immutable_record():
+    doc = Document("a", "b")
+    assert doc == ("a", "b", None, None) == Document(id="a", text="b")
+    doc_id, text, gold, pred = doc
+    assert (doc_id, text, gold, pred) == ("a", "b", None, None)
+    with pytest.raises(AttributeError):
+        doc.text = "c"
+    tagged = doc._replace(gold_tag=LanguageTag.parse("zu"))
+    assert tagged.gold_tag == LanguageTag.parse("zu") and doc.gold_tag is None
+    assert list(tagged._asdict()) == ["id", "text", "gold_tag", "pred_tag"]
+
+
 class TestDedupe:
     def test_collapses_normalization_equivalents(self):
         docs = [Document(id=str(i), text=t) for i, t in enumerate(["Hi", "Hi!", "hi"])]

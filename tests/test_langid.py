@@ -392,6 +392,10 @@ class TestProfileIO:
         save_profile(profile, path)
         loaded = load_profile(path)
         assert loaded == profile
+        assert loaded != LanguageProfile("zu", 1, 4, 0.5, {**profile.counts, "u": profile.counts["u"] + 1})
+        assert loaded != LanguageProfile("zu", 1, 4, 0.25, profile.counts)
+        assert loaded != LanguageProfile("xh", 1, 4, 0.5, profile.counts)
+        assert (loaded == profile_to_json(profile)) is False
 
     def test_round_trip_bytes_stable(self, tmp_path):
         rng = random.Random(31)
