@@ -16,7 +16,7 @@ import sys
 from typing import Iterable, Iterator, Sequence
 
 from . import corpus, detector, evaluation, langid, synth, tags
-from .errors import CodemixError, MissingField
+from .errors import CodemixError, ParseError
 from .fileio import dumps, open_text, write_jsonl
 
 SEED_DEFAULT = 0
@@ -130,7 +130,7 @@ def _tag_of(doc: corpus.Document, attr: str, field: str) -> tags.LanguageTag:
     """The document's ``attr`` tag ("gold_tag" or "pred_tag"), read from ``field``."""
     tag = getattr(doc, attr)
     if tag is None:
-        raise MissingField(f"document {doc.id!r} has no {field!r} tag")
+        raise ParseError(f"document {doc.id!r} has no {field!r} tag")
     return tag
 
 

@@ -14,14 +14,7 @@ from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import fileio, textnorm
-from .errors import (
-    EmptyInput,
-    InsufficientPopulation,
-    InvalidConfig,
-    MissingField,
-    ParseError,
-    check_int,
-)
+from .errors import EmptyInput, InvalidConfig, ParseError, check_int
 from .tags import OTHER_CLASS, LanguageTag, check_code, tally_classes
 
 TagPredicate = Callable[[LanguageTag | None], bool]
@@ -49,10 +42,13 @@ class SampleSpec:
 _cached_tag = functools.lru_cache(maxsize=1024)(LanguageTag.parse)
 
 
-def _parse_tag(value: object, line: int) -> LanguageTag | None:
+def _parse_tag(record: dict, field: str, line: int) -> LanguageTag | None:
+    value = record.get(field)
     if value is None:
         return None
-    text = str(value).strip()
+    if not isinstance(value, str):
+        raise ParseError(f"field {field!r} is not a string", line)
+    text = value.strip()
     if not text:
         return None
     try:
@@ -81,8 +77,9 @@ def iter_load(
     integer; records without one get the 0-based record index rendered in
     decimal, and a repeated id is a ParseError. ``source`` is a path, "-"
     for stdin, or an open text file; a file opened by path may start with
-    a UTF-8 BOM. Raises ParseError (with line number), MissingField, or
-    InvalidConfig for an unknown format, when iteration reaches the fault.
+    a UTF-8 BOM. Raises ParseError (with its line number when a record is
+    at fault) or InvalidConfig for an unknown format, when iteration
+    reaches the fault. A tag field holds a string or null.
     """
     if format not in ("jsonl", "csv"):
         raise InvalidConfig(f"unknown corpus format {format!r}")
@@ -96,7 +93,7 @@ def iter_load(
         seen: set[str] = set()
         for index, (line, record) in enumerate(records):
             if text_field not in record or record[text_field] is None:
-                raise MissingField(f"line {line}: record has no {text_field!r} field")
+                raise ParseError(f"record has no {text_field!r} field", line)
             text = record[text_field]
             if not isinstance(text, str):
                 raise ParseError(f"field {text_field!r} is not a string", line)
@@ -105,7 +102,7 @@ def iter_load(
             value = record.get(key)
             if value in (None, ""):
                 if id_field is not None:
-                    raise MissingField(f"line {line}: record has no {key!r} field")
+                    raise ParseError(f"record has no {key!r} field", line)
                 value = index
             elif type(value) not in (str, int):  # bool and float ids are errors too
                 raise ParseError(f"field {key!r} is not a string or an integer", line)
@@ -117,8 +114,8 @@ def iter_load(
             yield Document(  # positional: a named tuple takes keywords more slowly
                 doc_id,
                 text,
-                _parse_tag(record.get(tag_field), line) if tag_field else None,
-                _parse_tag(record.get(pred_field), line) if pred_field else None,
+                _parse_tag(record, tag_field, line) if tag_field else None,
+                _parse_tag(record, pred_field, line) if pred_field else None,
             )
 
 
@@ -143,9 +140,9 @@ def _csv_records(
         if reader.fieldnames is None:
             return
         if text_field not in reader.fieldnames:
-            raise MissingField(f"CSV header has no {text_field!r} column")
+            raise ParseError(f"CSV header has no {text_field!r} column")
         if id_field is not None and id_field not in reader.fieldnames:
-            raise MissingField(f"CSV header has no {id_field!r} column")
+            raise ParseError(f"CSV header has no {id_field!r} column")
         for row in reader:
             yield reader.line_num, row
     except csv.Error as exc:
@@ -194,9 +191,7 @@ def sample(docs: Iterable[Document], spec: SampleSpec) -> list[Document]:
     else:
         population = [doc for doc in docs if spec.stratum(doc.pred_tag)]
     if spec.n > len(population):
-        raise InsufficientPopulation(
-            f"requested {spec.n} documents from a population of {len(population)}"
-        )
+        raise EmptyInput(f"requested {spec.n} documents from a population of {len(population)}")
     rng = random.Random(spec.seed)
     needed = spec.n
     remaining = len(population)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import langid, textnorm
-from .errors import EmptyTokens, check_int
+from .errors import EmptyInput, check_int
 from .langid import Prediction, ProfileSet
 from .tags import UND, UND_TAG, LanguageTag
 
@@ -51,11 +51,11 @@ def split_chunks(tokens: Sequence[str], k: int) -> list[list[str]]:
     """Split tokens into min(k, len) contiguous chunks of near-equal size.
 
     Sizes differ by at most one and the larger chunks come first, so
-    10 tokens at k=4 split [3, 3, 2, 2]. Raises EmptyTokens on no tokens.
+    10 tokens at k=4 split [3, 3, 2, 2]. Raises EmptyInput on no tokens.
     """
     check_chunks(k)
     if not tokens:
-        raise EmptyTokens("cannot chunk an empty token sequence")
+        raise EmptyInput("cannot chunk an empty token sequence")
     m = min(k, len(tokens))
     base, extra = divmod(len(tokens), m)
     chunks: list[list[str]] = []
@@ -74,7 +74,7 @@ def aggregate(chunk_langs: Sequence[str]) -> LanguageTag:
     input collapses to the lone "und" tag.
     """
     if not chunk_langs:
-        raise EmptyTokens("no chunk labels to aggregate")
+        raise EmptyInput("no chunk labels to aggregate")
     langs = [code for code in chunk_langs if code != UND]
     return LanguageTag(langs) if langs else UND_TAG
 

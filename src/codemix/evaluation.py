@@ -13,15 +13,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import label_distribution
-from .errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyInput,
-    EmptyMatrix,
-    LengthMismatch,
-    ZeroExpected,
-    check_int,
-)
+from .errors import EmptyInput, InvalidConfig, check_int
 from .special import chi2_sf
 from .tags import OTHER_CLASS, LanguageTag, tally_classes
 
@@ -72,7 +64,7 @@ def confusion(
     "other"; without one, the classes are all observed labels, sorted.
     """
     if len(gold) != len(pred):
-        raise LengthMismatch(f"gold has {len(gold)} items, pred has {len(pred)}")
+        raise InvalidConfig(f"gold has {len(gold)} items, pred has {len(pred)}")
     if not gold:
         raise EmptyInput("nothing to evaluate")
 
@@ -98,7 +90,7 @@ def metrics(m: ConfusionMatrix) -> EvalReport:
     """
     total = m.total
     if total == 0:
-        raise EmptyMatrix("confusion matrix has no observations")
+        raise EmptyInput("confusion matrix has no observations")
 
     k = len(m.classes)
     per_class: dict[str, ClassMetrics] = {}
@@ -148,40 +140,46 @@ def chi_square_gof(
 
     Expected proportions are renormalized to sum to 1 (published tables
     often round), then E_i = N * p_i and the statistic is
-    sum((O_i - E_i)^2 / E_i) with df = categories - 1. Raises DomainError
-    when a count is not an integer of at least 0, when a proportion or the
-    statistic is not finite, or when a count or a term does not fit in a
-    float.
+    sum((O_i - E_i)^2 / E_i) with df = categories - 1. Raises InvalidConfig
+    when the lengths disagree or are below two, when a count is not an
+    integer of at least 0, when a proportion is not a positive int or float,
+    when the proportions' sum or the statistic is not finite, or when a count
+    or a term does not fit in a float; EmptyInput when the counts sum to 0.
     """
     if len(observed) != len(expected_props):
-        raise DimensionMismatch(
+        raise InvalidConfig(
             f"{len(observed)} observed counts vs {len(expected_props)} expected proportions"
         )
     if len(observed) < 2:
-        raise DimensionMismatch("need at least two categories")
+        raise InvalidConfig("need at least two categories")
     for o in observed:
-        check_int(o, 0, "an observed count", DomainError)
+        check_int(o, 0, "an observed count")
+    if any(type(p) not in (int, float) for p in expected_props):  # bool is not a proportion
+        raise InvalidConfig(f"expected proportions must be ints or floats: {list(expected_props)}")
     if any(p <= 0 for p in expected_props):
-        raise ZeroExpected(f"expected proportions must be positive: {list(expected_props)}")
+        raise InvalidConfig(f"expected proportions must be positive: {list(expected_props)}")
     n = sum(observed)
     if n <= 0:
         raise EmptyInput("observed counts sum to zero")
 
     # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
     scale = 0.0
-    for prop in expected_props:
-        scale += prop
+    try:
+        for prop in expected_props:
+            scale += prop
+    except OverflowError:  # an int proportion too large for a float
+        scale = math.inf
     if not math.isfinite(scale):
-        raise DomainError(f"expected proportions must have a finite sum: {list(expected_props)}")
+        raise InvalidConfig(f"expected proportions must have a finite sum: {list(expected_props)}")
     statistic = 0.0
     try:
         for o, prop in zip(observed, expected_props):
             e = n * (prop / scale)
             statistic += (o - e) ** 2 / e if e else math.inf
     except OverflowError as exc:
-        raise DomainError(f"a count or chi-square term does not fit in a float: {exc}") from exc
+        raise InvalidConfig(f"a count or chi-square term does not fit in a float: {exc}") from exc
     if not math.isfinite(statistic):
-        raise DomainError(f"chi-square statistic is not finite: {statistic}")
+        raise InvalidConfig(f"chi-square statistic is not finite: {statistic}")
     df = len(observed) - 1
     return ChiSquareResult(statistic=statistic, df=df, p_value=chi2_sf(statistic, df))
 

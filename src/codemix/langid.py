@@ -21,13 +21,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import fileio, textnorm
-from .errors import (
-    EmptyCorpus,
-    EmptyProfileSet,
-    EmptyText,
-    InvalidConfig,
-    ProfileError,
-)
+from .errors import EmptyInput, InvalidConfig, ParseError
 from .tags import UND, check_code
 
 PROFILE_VERSION = 1
@@ -122,7 +116,7 @@ class ProfileSet:
 
     def __init__(self, profiles: dict[str, LanguageProfile]) -> None:
         if not profiles:
-            raise EmptyProfileSet("no language profiles given")
+            raise EmptyInput("no language profiles given")
         ranges = {(p.n_min, p.n_max) for p in profiles.values()}
         if len(ranges) > 1:
             raise InvalidConfig(f"profiles disagree on n-gram orders: {sorted(ranges)}")
@@ -143,7 +137,7 @@ def train(
     """Build a LanguageProfile from raw training lines.
 
     Each line is normalized first; n-grams never cross line boundaries.
-    Raises EmptyCorpus when every line normalizes to empty text and
+    Raises EmptyInput when every line normalizes to empty text and
     InvalidConfig for bad orders, smoothing or language code.
     """
     check_code(lang)
@@ -155,7 +149,7 @@ def train(
         if normalized:
             counts.update(extract_ngrams(normalized, n_min, n_max))
     if not counts:
-        raise EmptyCorpus(f"no usable text in training corpus for {lang!r}")
+        raise EmptyInput(f"no usable text in training corpus for {lang!r}")
     return LanguageProfile(lang, n_min, n_max, alpha, counts=dict(counts))
 
 
@@ -164,11 +158,11 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
 
     ``text`` must already be normalized. Its grams are extracted and counted
     once; each profile then adds count * log-prob over the distinct grams in
-    first-occurrence order. Raises EmptyText when no grams can be extracted.
+    first-occurrence order. Raises EmptyInput when no grams can be extracted.
     """
     grams = extract_ngrams(text, profiles.n_min, profiles.n_max)
     if not grams:
-        raise EmptyText("text yields no n-grams to score")
+        raise EmptyInput("text yields no n-grams to score")
     counted = Counter(grams)
     orders = list(map(len, counted))
     scores = {}
@@ -242,27 +236,25 @@ def load_profile(path: str | Path) -> LanguageProfile:
         with fileio.open_text(path) as fh:
             doc = fileio.loads(fh.read())
     except UnicodeError as exc:  # already names the path and line
-        raise ProfileError(str(exc)) from exc
+        raise ParseError(str(exc)) from exc
     except ValueError as exc:
-        raise ProfileError(f"{path}: not valid JSON: {exc}") from exc
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise ProfileError(f"{path}: expected a JSON object")
+        raise ParseError(f"{path}: expected a JSON object")
 
     version = doc.get("version")
     if type(version) is not int or version != PROFILE_VERSION:
-        raise ProfileError(
-            f"{path}: unsupported profile version {version!r}, expected {PROFILE_VERSION}"
-        )
+        raise ParseError(f"{path}: unsupported profile version {version!r}, expected {PROFILE_VERSION}")
     try:
         profile = LanguageProfile(
             doc.get("lang"), doc.get("n_min"), doc.get("n_max"), doc.get("alpha"), doc.get("counts")
         )
     except InvalidConfig as exc:
-        raise ProfileError(f"{path}: {exc}") from exc
+        raise ParseError(f"{path}: {exc}") from exc
     totals = doc.get("total_per_order")
     derived = {str(n): t for n, t in profile.total_per_order.items()}
     if totals != derived or any(type(t) is not int for t in totals.values()):
-        raise ProfileError(f"{path}: per-order totals disagree with count table")
+        raise ParseError(f"{path}: per-order totals disagree with count table")
     return profile
 
 
@@ -273,8 +265,8 @@ def load_profile_set(directory: str | Path) -> ProfileSet:
     for path in paths:
         profile = load_profile(path)
         if profile.lang in profiles:
-            raise ProfileError(f"{path}: duplicate profile for {profile.lang!r}")
+            raise ParseError(f"{path}: duplicate profile for {profile.lang!r}")
         profiles[profile.lang] = profile
     if not profiles:
-        raise EmptyProfileSet(f"no {PROFILE_SUFFIX} files in {directory}")
+        raise EmptyInput(f"no {PROFILE_SUFFIX} files in {directory}")
     return ProfileSet(profiles)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, check_int
+from .errors import InvalidConfig, check_int
 
 _EPS = 1e-16
 _MAX_ITER = 1000
@@ -72,11 +72,11 @@ def _upper_gamma_fraction(a: float, x: float) -> float:
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail probability P(X > x) for a chi-square with k degrees of freedom.
 
-    Raises DomainError unless x >= 0 (so NaN fails) and k is an integer of at least 1.
+    Raises InvalidConfig unless x >= 0 (so NaN fails) and k is an integer of at least 1.
     """
     if not x >= 0.0:
-        raise DomainError(f"chi-square statistic must be non-negative, got {x}")
-    check_int(k, 1, "degrees of freedom", DomainError)
+        raise InvalidConfig(f"chi-square statistic must be non-negative, got {x}")
+    check_int(k, 1, "degrees of freedom")
     a, x = k / 2.0, x / 2.0  # sf(x; k) = Q(k/2, x/2)
     if x == 0.0:
         return 1.0

@@ -12,7 +12,7 @@ import random
 from typing import Sequence
 
 from .corpus import Document
-from .errors import InvalidSpec, check_int
+from .errors import InvalidConfig, check_int
 from .tags import LanguageTag, check_code
 
 
@@ -22,23 +22,23 @@ class MixSpec:
     def __init__(self, lang_a: str, lang_b: str, source_a: tuple[str, ...], source_b: tuple[str, ...],
                  n_docs: int, mix_rate: float, tokens_per_doc: int, seed: int) -> None:
         for code in (lang_a, lang_b):
-            check_code(code, InvalidSpec)
+            check_code(code)
         if lang_a == lang_b:
-            raise InvalidSpec("the two languages must differ")
+            raise InvalidConfig("the two languages must differ")
         for name, pool in (("source_a", source_a), ("source_b", source_b)):
             if not pool:
-                raise InvalidSpec(f"{name} is empty")
+                raise InvalidConfig(f"{name} is empty")
             for word in pool:
                 if not word or any(ch.isspace() for ch in word):
-                    raise InvalidSpec(f"{name} contains a non-word entry: {word!r}")
+                    raise InvalidConfig(f"{name} contains a non-word entry: {word!r}")
         if set(source_a) & set(source_b):
             overlap = sorted(set(source_a) & set(source_b))[:5]
-            raise InvalidSpec(f"token pools overlap: {overlap}")
-        check_int(n_docs, 1, "n_docs", InvalidSpec)
+            raise InvalidConfig(f"token pools overlap: {overlap}")
+        check_int(n_docs, 1, "n_docs")
         if type(mix_rate) not in (int, float) or not 0.0 <= mix_rate <= 1.0:
-            raise InvalidSpec(f"mix_rate must be in [0, 1], got {mix_rate!r}")
-        check_int(tokens_per_doc, 4, "tokens_per_doc", InvalidSpec)
-        check_int(seed, 0, "seed", InvalidSpec)
+            raise InvalidConfig(f"mix_rate must be in [0, 1], got {mix_rate!r}")
+        check_int(tokens_per_doc, 4, "tokens_per_doc")
+        check_int(seed, 0, "seed")
         self.lang_a, self.lang_b, self.source_a, self.source_b = lang_a, lang_b, source_a, source_b
         self.n_docs, self.mix_rate, self.tokens_per_doc, self.seed = n_docs, mix_rate, tokens_per_doc, seed
 

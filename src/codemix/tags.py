@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from typing import Iterable, Sequence
 
-from .errors import CodemixError, InvalidConfig
+from .errors import InvalidConfig
 
 #: Reserved code for "undetermined"; never a trainable profile name.
 UND = "und"
@@ -23,12 +23,12 @@ LANG_CODE_RE = re.compile(r"^[a-z]{2,8}\Z")
 OTHER_CLASS = "other"
 
 
-def check_code(code: object, error: type[CodemixError] = InvalidConfig) -> None:
-    """Raise ``error`` unless ``code`` is a language code other than "und"."""
+def check_code(code: object) -> None:
+    """Raise InvalidConfig unless ``code`` is a language code other than "und"."""
     if type(code) is not str or not LANG_CODE_RE.match(code):
-        raise error(f"language code must be 2-8 lowercase ASCII letters, got {code!r}")
+        raise InvalidConfig(f"language code must be 2-8 lowercase ASCII letters, got {code!r}")
     if code == UND:
-        raise error(f"{UND!r} is reserved for undetermined text")
+        raise InvalidConfig(f"{UND!r} is reserved for undetermined text")
 
 
 class LanguageTag:

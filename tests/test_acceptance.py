@@ -20,7 +20,7 @@ from codemix import langid, synth
 from codemix.cli import run
 from codemix.corpus import Document, SampleSpec, sample
 from codemix.detector import detect_all
-from codemix.errors import EmptyCorpus
+from codemix.errors import EmptyInput
 from codemix.evaluation import chi2_sf, confusion, majority_baseline, metrics
 from codemix.langid import load_profile, profile_to_json, save_profile, train
 from codemix.tags import LanguageTag
@@ -212,7 +212,7 @@ def test_profile_round_trip(tmp_path):
         alpha = rng.choice([0.1, 0.25, 0.5, 1.0, 1.7])
         try:
             profile = train(lines, "aa", n_min=n_min, n_max=n_max, alpha=alpha)
-        except EmptyCorpus:
+        except EmptyInput:
             profile = train(["fallback words"], "aa", n_min=n_min, n_max=n_max, alpha=alpha)
         path = tmp_path / f"{i}.profile"
         save_profile(profile, path)

@@ -7,7 +7,8 @@ composite tags: it imports only errors from the package, the corpus and
 evaluation layers reach tags without the scorer (detector, langid), and the
 language-code pattern is used nowhere else. errors.check_int holds the
 integer rule: outside errors and langid, no module writes ``type(x) is int``
-or ``type(x) is not int`` itself. The package imports a module
+or ``type(x) is not int`` itself. errors defines one exception class per
+kind of fault, and no module adds another. The package imports a module
 only when one of its public names is first used, so importing a module loads
 no more than that module needs.
 """
@@ -106,6 +107,35 @@ def test_only_errors_and_langid_compare_types_with_int():
     writers = [p.name for p in sorted(PACKAGE.glob("*.py"))
                if int_type_tests(p.read_text(encoding="utf-8"))]
     assert set(writers) - {"errors.py", "langid.py"} == set()
+
+
+ERROR_CLASSES = {"CodemixError", "InvalidConfig", "EmptyInput", "ParseError"}
+
+
+def error_subclasses(source: str) -> list[str]:
+    """Each class in ``source`` derived from a codemix error class, as "line: name"."""
+    return [f"{node.lineno}: {node.name}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            and any(getattr(b, "id", getattr(b, "attr", None)) in ERROR_CLASSES for b in node.bases)]
+
+
+def test_errors_defines_the_four_classes_and_check_int():
+    defined = {node.name for node in tree("errors.py").body
+               if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
+    assert defined == ERROR_CLASSES | {"check_int"}
+
+
+def test_stray_error_subclasses_are_detected():
+    source = ("class Fine(ValueError): pass\nclass Stray(EmptyInput): pass\n"
+              "class Deep(errors.ParseError): pass\ndef f():\n    class Local(CodemixError): pass\n")
+    assert error_subclasses(source) == ["2: Stray", "3: Deep", "5: Local"]
+
+
+@pytest.mark.parametrize(
+    "module", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "errors.py")
+)
+def test_no_module_adds_an_error_class(module):
+    assert error_subclasses((PACKAGE / module).read_text(encoding="utf-8")) == []
 
 
 def loaded_after(statement: str, prefix: str = "codemix") -> set[str]:

@@ -19,13 +19,7 @@ from codemix.corpus import (
 )
 from codemix import langid
 from codemix.cli import run
-from codemix.errors import (
-    EmptyInput,
-    InsufficientPopulation,
-    InvalidConfig,
-    MissingField,
-    ParseError,
-)
+from codemix.errors import EmptyInput, InvalidConfig, ParseError
 from codemix.evaluation import chi_square_gof
 from codemix.tags import LanguageTag
 
@@ -54,12 +48,14 @@ class TestLoadJsonl:
         assert [d.id for d in docs] == ["0", "1"]
 
     def test_declared_id_field_must_exist(self):
-        with pytest.raises(MissingField):
+        with pytest.raises(ParseError, match="^line 1: record has no 'qid' field$") as exc:
             load(jsonl({"text": "a"}), id_field="qid")
+        assert exc.value.line == 1
 
     def test_missing_text_field(self):
-        with pytest.raises(MissingField):
+        with pytest.raises(ParseError, match="^line 1: record has no 'text' field$") as exc:
             load(jsonl({"id": "1"}))
+        assert exc.value.line == 1
 
     def test_invalid_json_reports_line(self):
         bad = io.StringIO('{"text": "ok"}\n{not json\n')
@@ -77,6 +73,14 @@ class TestLoadJsonl:
     def test_bad_tag_reports_line(self):
         with pytest.raises(ParseError):
             load(jsonl({"text": "a", "tags": "EN!"}))
+        # a tag must be a JSON string: 1e400 decodes to inf, which str() would make the tag "inf"
+        for raw in ("1e400", "12", "true", '["en"]'):
+            text = f'{{"text": "a"}}\n{{"id": "a", "text": "hi", "tags": {raw}}}\n'
+            with pytest.raises(ParseError, match="^line 2: field 'tags' is not a string$") as exc:
+                load(io.StringIO(text))
+            assert exc.value.line == 2
+            with pytest.raises(ParseError, match="^line 2: field 'pred' is not a string$"):
+                load(io.StringIO(text.replace('"tags"', '"pred"')), pred_field="pred")
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ParseError):
@@ -134,8 +138,9 @@ class TestLoadCsv:
 
     def test_missing_declared_text_column(self):
         fh = io.StringIO("id,body\n1,hello\n")
-        with pytest.raises(MissingField):
+        with pytest.raises(ParseError, match="^CSV header has no 'text' column$") as exc:
             load(fh, format="csv", text_field="text")
+        assert exc.value.line is None
 
     def test_empty_csv(self):
         assert load(io.StringIO(""), format="csv") == []
@@ -234,7 +239,7 @@ class TestSample:
         assert all(d.pred_tag == LanguageTag.parse("en") for d in chosen)
 
     def test_insufficient_population(self):
-        with pytest.raises(InsufficientPopulation):
+        with pytest.raises(EmptyInput, match="^requested 5 documents from a population of 3$"):
             sample(self.make_docs(3), SampleSpec(n=5, seed=0))
 
     def test_invalid_spec(self):

@@ -5,7 +5,7 @@ import pytest
 from codemix import textnorm
 from codemix.corpus import Document
 from codemix.detector import aggregate, detect, detect_all, split_chunks
-from codemix.errors import EmptyTokens, InvalidConfig
+from codemix.errors import EmptyInput, InvalidConfig
 from codemix.tags import UND_TAG, LanguageTag
 
 
@@ -59,7 +59,7 @@ class TestSplitChunks:
         ]
 
     def test_errors(self):
-        with pytest.raises(EmptyTokens):
+        with pytest.raises(EmptyInput, match="^cannot chunk an empty token sequence$"):
             split_chunks([], 4)
         for k in (0, 1.5, True, "2"):
             with pytest.raises(InvalidConfig):
@@ -99,7 +99,7 @@ class TestAggregate:
             assert aggregate(shuffled) == base
 
     def test_empty(self):
-        with pytest.raises(EmptyTokens):
+        with pytest.raises(EmptyInput, match="^no chunk labels to aggregate$"):
             aggregate([])
 
 

@@ -3,15 +3,7 @@ import random
 
 import pytest
 
-from codemix.errors import (
-    DimensionMismatch,
-    DomainError,
-    EmptyInput,
-    EmptyMatrix,
-    InvalidConfig,
-    LengthMismatch,
-    ZeroExpected,
-)
+from codemix.errors import EmptyInput, InvalidConfig
 from codemix.evaluation import (
     ConfusionMatrix,
     chi2_sf,
@@ -70,9 +62,9 @@ class TestConfusion:
         assert m.counts == ((1, 1), (0, 1))
 
     def test_errors(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(InvalidConfig, match="^gold has 1 items, pred has 2$"):
             confusion([A], [A, B])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyInput, match="^nothing to evaluate$"):
             confusion([], [])
 
     def test_other_is_reserved(self):
@@ -101,7 +93,7 @@ class TestMetrics:
         assert report.weighted_recall == 1.0
 
     def test_empty_matrix(self):
-        with pytest.raises(EmptyMatrix):
+        with pytest.raises(EmptyInput, match="^confusion matrix has no observations$"):
             metrics(ConfusionMatrix(classes=("aa",), counts=((0,),)))
 
     def test_weighted_recall_equals_accuracy(self):
@@ -249,19 +241,25 @@ class TestChiSquareGof:
             assert permuted == pytest.approx(base, abs=1e-12)
 
     def test_errors(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="^2 observed counts vs 3 expected proportions$"):
             chi_square_gof([1, 2], [0.5, 0.3, 0.2])
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InvalidConfig, match="^need at least two categories$"):
             chi_square_gof([5], [1.0])
-        with pytest.raises(ZeroExpected):
+        with pytest.raises(InvalidConfig, match="^expected proportions must be positive: "):
             chi_square_gof([1, 2], [0.5, 0.0])
-        with pytest.raises(EmptyInput):
+        with pytest.raises(EmptyInput, match="^observed counts sum to zero$"):
             chi_square_gof([0, 0], [0.5, 0.5])
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidConfig, match="^an observed count must be an integer of at least 0, got -1$"):
             chi_square_gof([-1, 2], [0.5, 0.5])
         for observed in ([1.5, 2], [True, 3]):
-            with pytest.raises(DomainError):
+            with pytest.raises(InvalidConfig, match="^an observed count must be an integer of at least 0, got "):
                 chi_square_gof(observed, [0.5, 0.5])
+        for props in ([10**400, 1], [1, 2**1100]):
+            with pytest.raises(InvalidConfig, match="^expected proportions must have a finite sum: "):
+                chi_square_gof([1, 2], props)
+        for props in (["a", 0.5], [None, 0.5], [True, 0.5]):
+            with pytest.raises(InvalidConfig, match=r"^expected proportions must be ints or floats: \["):
+                chi_square_gof([1, 2], props)
 
 
 class TestChi2Sf:
@@ -292,12 +290,12 @@ class TestChi2Sf:
         assert 0.0 <= chi2_sf(1e-12, 100) <= 1.0
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidConfig, match="^chi-square statistic must be non-negative, got -0.1$"):
             chi2_sf(-0.1, 3)
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidConfig, match="^degrees of freedom must be an integer of at least 1, got 0$"):
             chi2_sf(1.0, 0)
         for x, k in ((math.nan, 2), (1.0, 2.5), (1.0, True), (1.0, math.nan)):
-            with pytest.raises(DomainError):
+            with pytest.raises(InvalidConfig, match="^(chi-square statistic|degrees of freedom) must be "):
                 chi2_sf(x, k)
 
 

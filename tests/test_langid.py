@@ -9,13 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from codemix import langid
-from codemix.errors import (
-    EmptyCorpus,
-    EmptyProfileSet,
-    EmptyText,
-    InvalidConfig,
-    ProfileError,
-)
+from codemix.errors import EmptyInput, InvalidConfig, ParseError
 from codemix.langid import (
     LanguageProfile,
     ProfileSet,
@@ -43,7 +37,7 @@ def random_profile(rng, lang="aa"):
     alpha = rng.choice([0.1, 0.5, 1.0, 2.0])
     try:
         return train(lines, lang, n_min=n_min, n_max=n_max, alpha=alpha)
-    except EmptyCorpus:
+    except EmptyInput:
         return train(["fallback text"], lang, n_min=n_min, n_max=n_max, alpha=alpha)
 
 
@@ -54,9 +48,9 @@ class TestTrain:
         assert profile.total_per_order == {1: 7}
 
     def test_empty_corpus(self):
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EmptyInput, match="^no usable text in training corpus for 'en'$"):
             train([], "en")
-        with pytest.raises(EmptyCorpus):
+        with pytest.raises(EmptyInput, match="^no usable text in training corpus for 'en'$"):
             train(["123", "!!!"], "en")
 
     def test_grams_do_not_cross_lines(self):
@@ -200,12 +194,12 @@ class TestScore:
         assert score("q", ProfileSet({"aa": tiny}))["aa"] == pytest.approx(-2.833213344056216, abs=1e-12)
 
     def test_empty_text(self, tiny):
-        with pytest.raises(EmptyText):
+        with pytest.raises(EmptyInput, match="^text yields no n-grams to score$"):
             score("", ProfileSet({"aa": tiny}))
 
     def test_text_shorter_than_n_min(self):
         profile = train(["abcdef"], "aa", n_min=3, n_max=4)
-        with pytest.raises(EmptyText):
+        with pytest.raises(EmptyInput, match="^text yields no n-grams to score$"):
             score("ab", ProfileSet({"aa": profile}))
 
     def test_matches_loop_oracle(self):
@@ -298,7 +292,7 @@ class TestIdentify:
             identify("abc abd", trained_profiles, min_chars=min_chars)
 
     def test_empty_profileset(self):
-        with pytest.raises(EmptyProfileSet):
+        with pytest.raises(EmptyInput, match="^no language profiles given$"):
             ProfileSet({})
 
     def test_tie_break_is_lexicographic(self):
@@ -420,7 +414,7 @@ class TestProfileIO:
         doc = profile_to_json(profile).replace('"version": 1', '"version": 2')
         path = tmp_path / "bad.profile"
         path.write_text(doc, encoding="utf-8")
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError, match="bad.profile: unsupported profile version 2, expected 1$"):
             load_profile(path)
 
     def test_inconsistent_totals(self, tmp_path):
@@ -428,7 +422,7 @@ class TestProfileIO:
         doc = profile_to_json(profile).replace('"1": 7', '"1": 8')
         path = tmp_path / "bad.profile"
         path.write_text(doc, encoding="utf-8")
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError, match="bad.profile: per-order totals disagree with count table$"):
             load_profile(path)
 
     @pytest.mark.parametrize(
@@ -456,7 +450,15 @@ class TestProfileIO:
             doc[key] = value
         path = tmp_path / "zu.profile"
         path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ProfileError):
+        rule = {
+            "lang": "language code must be",
+            "counts": "count table must be a dict",
+            "version": "unsupported profile version True",
+            "n_min": "need integers 1 <= n_min",
+            "alpha": "not valid JSON: non-finite number",  # the strict decoder rejects it first
+            "a gram's count": "count table entry .* out of bounds",
+        }[key]
+        with pytest.raises(ParseError, match=f"zu.profile: {rule}"):
             load_profile(path)
 
     def test_mutated_documents_load_or_raise_profile_error(self, tmp_path):
@@ -487,7 +489,7 @@ class TestProfileIO:
             path.write_text(json.dumps(doc), encoding="utf-8")
             try:
                 profile = load_profile(path)
-            except ProfileError:
+            except ParseError:
                 failed += 1
                 continue
             loaded += 1
@@ -499,7 +501,7 @@ class TestProfileIO:
     def test_not_json(self, tmp_path):
         path = tmp_path / "bad.profile"
         path.write_text("not a profile", encoding="utf-8")
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError, match="bad.profile: not valid JSON: "):
             load_profile(path)
 
     @pytest.mark.parametrize(
@@ -510,7 +512,7 @@ class TestProfileIO:
     def test_undecodable_json(self, tmp_path, raw):
         path = tmp_path / "bad.profile"
         path.write_bytes(raw)
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError, match="bad.profile"):
             load_profile(path)
 
     def test_load_profile_set(self, tmp_path):
@@ -520,11 +522,11 @@ class TestProfileIO:
         assert set(profiles.profiles) == {"aa", "bb"}
 
     def test_load_profile_set_empty_dir(self, tmp_path):
-        with pytest.raises(EmptyProfileSet):
+        with pytest.raises(EmptyInput, match=r"^no \.profile files in "):
             load_profile_set(tmp_path)
 
     def test_load_profile_set_duplicate_lang(self, tmp_path):
         save_profile(train(["first corpus"], "aa"), tmp_path / "one.profile")
         save_profile(train(["second corpus"], "aa"), tmp_path / "two.profile")
-        with pytest.raises(ProfileError):
+        with pytest.raises(ParseError, match="two.profile: duplicate profile for 'aa'$"):
             load_profile_set(tmp_path)

@@ -1,6 +1,6 @@
 import pytest
 
-from codemix.errors import InvalidSpec
+from codemix.errors import InvalidConfig
 from codemix.synth import MixSpec, generate
 
 
@@ -27,45 +27,45 @@ def pools(synthetic_languages):
 class TestMixSpecValidation:
     def test_overlapping_pools(self, pools):
         pool_a, _ = pools
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^token pools overlap: "):
             spec_for(pool_a, pool_a[:10] + ("uniqueword",))
 
     def test_empty_pool(self, pools):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^source_a is empty$"):
             spec_for((), pools[1])
 
     def test_whitespace_in_pool_word(self, pools):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^source_a contains a non-word entry: 'two words'$"):
             spec_for(("two words",), pools[1])
 
     def test_tokens_per_doc_floor(self, pools):
         for value in (3, 12.0, True, "12"):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InvalidConfig, match="^tokens_per_doc must be an integer of at least 4, got "):
                 spec_for(*pools, tokens_per_doc=value)
 
     def test_mix_rate_bounds(self, pools):
         for value in (1.5, -0.1, float("nan"), "0.5"):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InvalidConfig, match=r"^mix_rate must be in \[0, 1\], got "):
                 spec_for(*pools, mix_rate=value)
 
     def test_n_docs_positive(self, pools):
         for value in (0, 2.5, True, "5"):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InvalidConfig, match="^n_docs must be an integer of at least 1, got "):
                 spec_for(*pools, n_docs=value)
 
     def test_seed_unsigned_integer(self, pools):
         for value in (-1, 1.5, True, "1"):
-            with pytest.raises(InvalidSpec):
+            with pytest.raises(InvalidConfig, match="^seed must be an integer of at least 0, got "):
                 spec_for(*pools, seed=value)
 
     def test_same_language_twice(self, pools):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^the two languages must differ$"):
             spec_for(*pools, lang_b="xa")
 
     def test_reserved_code(self, pools):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^'und' is reserved for undetermined text$"):
             spec_for(*pools, lang_a="und")
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidConfig, match="^language code must be 2-8 lowercase ASCII letters, got 5$"):
             spec_for(*pools, lang_a=5, lang_b="en")
 
 
