@@ -3,8 +3,9 @@
 One subcommand per pipeline stage; composition happens through files, so
 every intermediate artifact can be inspected and re-produced. Machine
 output is JSON/JSONL, human output is an aligned table, and a --format
-flag switches between them where both make sense. Re-running a subcommand
-with identical flags (and seeds) produces byte-identical machine output.
+flag switches between them where both make sense; every command's output
+format is defined here. Re-running a subcommand with identical flags (and
+seeds) produces byte-identical machine output.
 
 Exit codes: 0 success, 1 operational error (bad input or file),
 2 usage error (bad flags).
@@ -41,6 +42,27 @@ def _report(args: argparse.Namespace, doc: dict, table: str) -> int:
     with open_text(args.out, "w") as out:
         out.write((dumps(doc, indent=2) if args.format == "json" else table) + "\n")
     return 0
+
+
+def _table(rows: list[list[str]]) -> str:
+    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
+    lines = []
+    for row in rows:
+        cells = [cell.ljust(widths[i]) for i, cell in enumerate(row)]
+        lines.append("  ".join(cells).rstrip())
+    return "\n".join(lines)
+
+
+def _format_p_value(p: float) -> str:
+    """R-style display: values below 2.2e-16 print as "< 2.2e-16".
+
+    2.2e-16 is double-precision epsilon, and ``chi2_sf`` bounds its error in
+    absolute terms, so a smaller p has no digits worth printing. Machine
+    output keeps the raw float.
+    """
+    if p < 2.2e-16:
+        return "< 2.2e-16"
+    return f"{p:.6g}"
 
 
 def _lines(path: str) -> Iterator[str]:
@@ -139,9 +161,10 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     counts = corpus.label_distribution(tags, classes=args.classes)
     total = sum(counts.values())
     proportions = {label: c / total for label, c in counts.items()}
-    width = max(map(len, proportions))
-    table = [f"{'class'.ljust(width)}  count  proportion"]
-    table += [f"{label.ljust(width)}  {str(counts[label]).rjust(5)}  {p:.4f}"
+    width = max(len("class"), *map(len, proportions))
+    digits = max(len("count"), *(len(str(c)) for c in counts.values()))
+    table = [f"{'class'.ljust(width)}  {'count'.rjust(digits)}  proportion"]
+    table += [f"{label.ljust(width)}  {str(counts[label]).rjust(digits)}  {p:.4f}"
               for label, p in proportions.items()]
     doc = {"total": total, "counts": counts, "proportions": proportions}
     return _report(args, doc, "\n".join(table))
@@ -155,12 +178,38 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
-    baseline = evaluation.majority_class(gold)
-    return _report(
-        args,
-        evaluation.report_document(matrix, report, baseline=baseline),
-        evaluation.render_report(matrix, report, baseline=baseline),
-    )
+    majority, baseline = evaluation.majority_class(gold)
+    doc = {
+        "classes": list(matrix.classes),
+        "matrix": [list(row) for row in matrix.counts],
+        "total": matrix.total,
+        "accuracy": report.accuracy,
+        "weighted_precision": report.weighted_precision,
+        "weighted_recall": report.weighted_recall,
+        "per_class": {label: c._asdict() for label, c in report.per_class.items()},
+        "majority_class": majority,
+        "majority_baseline": baseline,
+    }
+
+    rows = [["gold \\ pred", *matrix.classes]]
+    for i, label in enumerate(matrix.classes):
+        rows.append([label, *(str(c) for c in matrix.counts[i])])
+    out = ["confusion matrix", _table(rows), ""]
+
+    rows = [["class", "precision", "recall", "support"]]
+    for label, c in report.per_class.items():
+        rows.append([label, f"{c.precision:.4f}", f"{c.recall:.4f}", str(c.support)])
+    out += ["per-class metrics", _table(rows), ""]
+
+    summary = [
+        ["documents", str(matrix.total)],
+        ["accuracy", f"{report.accuracy:.4f}"],
+        ["weighted precision", f"{report.weighted_precision:.4f}"],
+        ["weighted recall", f"{report.weighted_recall:.4f}"],
+        ["majority baseline", f"{baseline:.4f} ({majority})"],
+    ]
+    out.append(_table(summary))
+    return _report(args, doc, "\n".join(out))
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
@@ -172,8 +221,14 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_chisq(args: argparse.Namespace) -> int:
     result = evaluation.chi_square_gof(args.observed, args.expected)
-    doc = {**result._asdict(), "p_display": evaluation.format_p_value(result.p_value)}
-    return _report(args, doc, evaluation.render_chi_square(result))
+    p_display = _format_p_value(result.p_value)
+    doc = {**result._asdict(), "p_display": p_display}
+    rows = [
+        ["statistic", f"{result.statistic:.6g}"],
+        ["df", str(result.df)],
+        ["p-value", p_display],
+    ]
+    return _report(args, doc, _table(rows))
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:

@@ -164,16 +164,15 @@ def save_jsonl(docs: Iterable[Document], sink: str | Path | IO[str]) -> None:
     fileio.write_jsonl(map(document_record, docs), sink)
 
 
-def dedupe(docs: Iterable[Document]) -> list[Document]:
-    """Keep the first document of each normalized-text equivalence class."""
+def dedupe(docs: Iterable[Document]) -> Iterator[Document]:
+    """Yield the first document of each normalized-text equivalence class, in
+    input order; only the set of normalized texts is held in memory."""
     seen: set[str] = set()
-    kept: list[Document] = []
     for doc in docs:
         key = textnorm.normalize(doc.text)
         if key not in seen:
             seen.add(key)
-            kept.append(doc)
-    return kept
+            yield doc
 
 
 def sample(docs: Iterable[Document], spec: SampleSpec) -> list[Document]:

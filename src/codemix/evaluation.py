@@ -17,10 +17,6 @@ from .errors import EmptyInput, InvalidConfig, check_int
 from .special import chi2_sf
 from .tags import OTHER_CLASS, LanguageTag, tally_classes
 
-#: Human-readable reports never print a p-value smaller than this; they
-#: print "< 2.2e-16" instead. Machine output keeps the raw float.
-P_REPORT_FLOOR = 2.2e-16
-
 
 class ConfusionMatrix(NamedTuple):
     """counts[g][p] = documents with gold class g and predicted class p."""
@@ -182,77 +178,3 @@ def chi_square_gof(
         raise InvalidConfig(f"chi-square statistic is not finite: {statistic}")
     df = len(observed) - 1
     return ChiSquareResult(statistic=statistic, df=df, p_value=chi2_sf(statistic, df))
-
-
-def format_p_value(p: float) -> str:
-    """R-style display: values below 2.2e-16 print as "< 2.2e-16"."""
-    if p < P_REPORT_FLOOR:
-        return "< 2.2e-16"
-    return f"{p:.6g}"
-
-
-# --- report serialization and text rendering ---
-
-
-def report_document(
-    matrix: ConfusionMatrix,
-    report: EvalReport,
-    baseline: tuple[str, float],
-) -> dict:
-    """Single machine-readable document with every evaluation artifact."""
-    return {
-        "classes": list(matrix.classes),
-        "matrix": [list(row) for row in matrix.counts],
-        "total": matrix.total,
-        "accuracy": report.accuracy,
-        "weighted_precision": report.weighted_precision,
-        "weighted_recall": report.weighted_recall,
-        "per_class": {label: c._asdict() for label, c in report.per_class.items()},
-        "majority_class": baseline[0],
-        "majority_baseline": baseline[1],
-    }
-
-
-def _table(rows: list[list[str]]) -> str:
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]))]
-    lines = []
-    for row in rows:
-        cells = [cell.ljust(widths[i]) for i, cell in enumerate(row)]
-        lines.append("  ".join(cells).rstrip())
-    return "\n".join(lines)
-
-
-def render_report(
-    matrix: ConfusionMatrix,
-    report: EvalReport,
-    baseline: tuple[str, float],
-) -> str:
-    """Aligned text tables: confusion matrix, per-class and summary metrics."""
-    rows = [["gold \\ pred", *matrix.classes]]
-    for i, label in enumerate(matrix.classes):
-        rows.append([label, *(str(c) for c in matrix.counts[i])])
-    out = ["confusion matrix", _table(rows), ""]
-
-    rows = [["class", "precision", "recall", "support"]]
-    for label, c in report.per_class.items():
-        rows.append([label, f"{c.precision:.4f}", f"{c.recall:.4f}", str(c.support)])
-    out += ["per-class metrics", _table(rows), ""]
-
-    summary = [
-        ["documents", str(matrix.total)],
-        ["accuracy", f"{report.accuracy:.4f}"],
-        ["weighted precision", f"{report.weighted_precision:.4f}"],
-        ["weighted recall", f"{report.weighted_recall:.4f}"],
-        ["majority baseline", f"{baseline[1]:.4f} ({baseline[0]})"],
-    ]
-    out.append(_table(summary))
-    return "\n".join(out)
-
-
-def render_chi_square(result: ChiSquareResult) -> str:
-    rows = [
-        ["statistic", f"{result.statistic:.6g}"],
-        ["df", str(result.df)],
-        ["p-value", format_p_value(result.p_value)],
-    ]
-    return _table(rows)

@@ -117,12 +117,14 @@ class ProfileSet:
     def __init__(self, profiles: dict[str, LanguageProfile]) -> None:
         if not profiles:
             raise EmptyInput("no language profiles given")
+        for lang, profile in profiles.items():
+            if not isinstance(profile, LanguageProfile):
+                raise InvalidConfig(f"profile keyed {lang!r} is a {type(profile).__name__}, not a profile")
+            if lang != profile.lang:
+                raise InvalidConfig(f"profile keyed {lang!r} claims lang {profile.lang!r}")
         ranges = {(p.n_min, p.n_max) for p in profiles.values()}
         if len(ranges) > 1:
             raise InvalidConfig(f"profiles disagree on n-gram orders: {sorted(ranges)}")
-        for lang, profile in profiles.items():
-            if lang != profile.lang:
-                raise InvalidConfig(f"profile keyed {lang!r} claims lang {profile.lang!r}")
         self.profiles = profiles
         self.n_min, self.n_max = ranges.pop()
 

@@ -72,12 +72,21 @@ def _upper_gamma_fraction(a: float, x: float) -> float:
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail probability P(X > x) for a chi-square with k degrees of freedom.
 
-    Raises InvalidConfig unless x >= 0 (so NaN fails) and k is an integer of at least 1.
+    Raises InvalidConfig unless x is an int or float (never a bool) that fits
+    in a float and is >= 0 (so NaN fails), and k is an integer of at least 1.
     """
+    if type(x) not in (int, float):
+        raise InvalidConfig(f"chi-square statistic must be an int or float, got {type(x).__name__}")
+    try:
+        half = x / 2.0
+    except OverflowError as exc:  # an int too large for a float; its digits are not echoed
+        raise InvalidConfig(
+            f"chi-square statistic must fit in a float, got an int of {x.bit_length()} bits"
+        ) from exc
     if not x >= 0.0:
         raise InvalidConfig(f"chi-square statistic must be non-negative, got {x}")
     check_int(k, 1, "degrees of freedom")
-    a, x = k / 2.0, x / 2.0  # sf(x; k) = Q(k/2, x/2)
+    a, x = k / 2.0, half  # sf(x; k) = Q(k/2, x/2)
     if x == 0.0:
         return 1.0
     q = 1.0 - _lower_gamma_series(a, x) if x < a + 1.0 else _upper_gamma_fraction(a, x)

@@ -58,6 +58,8 @@ class LanguageTag:
     @classmethod
     def parse(cls, text: str) -> "LanguageTag":
         """Parse a comma-joined tag string such as ``"zu,en"``."""
+        if not isinstance(text, str):
+            raise InvalidConfig(f"a language tag must be a str, got {type(text).__name__}")
         return cls(code.strip() for code in text.split(","))
 
     def render(self) -> str:
@@ -93,6 +95,8 @@ def tally_classes(observed: Iterable[str], class_scheme: Sequence[str] | None) -
     """
     if class_scheme is None:
         return sorted(set(observed))
+    if isinstance(class_scheme, str):  # iterating it would yield single characters
+        raise InvalidConfig(f"a class scheme is a sequence of tags, not one str: {class_scheme!r}")
     declared = [LanguageTag.parse(c).class_label() for c in class_scheme]
     if OTHER_CLASS in declared:
         raise InvalidConfig(f"{OTHER_CLASS!r} is the bucket class and cannot be declared")

@@ -362,6 +362,86 @@ class TestChisq:
         assert 0.0 < doc["p_value"] < 1.0
 
 
+class TestReporting:
+    """What `evaluate`, `chisq` and `distribution` print, in each format."""
+
+    @pytest.fixture
+    def tagged(self, tmp_path):
+        path = tmp_path / "tagged.jsonl"
+        pairs = [("aa", "aa"), ("aa", "bb"), ("bb", "bb"), ("bb", "bb")]
+        path.write_text("".join(json.dumps({"text": "t", "tags": g, "pred": p}) + "\n"
+                                for g, p in pairs), encoding="utf-8")
+        return path
+
+    def test_format_p_value(self, capsys):
+        for observed, expected, p_value, shown in (
+            ("306,18,13,63", "0.557,0.203,0.084,0.155", pytest.approx(5.45e-20, rel=1e-3), "< 2.2e-16"),
+            ("100000,0", "0.5,0.5", 0.0, "< 2.2e-16"),  # the tail underflows
+            ("60,40", "0.5020026,0.4979974", pytest.approx(0.05, rel=1e-5), "0.05"),
+            ("50,50", "0.5,0.5", 1.0, "1"),
+        ):
+            argv = ["chisq", "--observed", observed, "--expected", expected]
+            assert run([*argv, "--format", "json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            assert (doc["p_value"], doc["p_display"]) == (p_value, shown)
+            assert run(argv) == 0
+            assert capsys.readouterr().out.splitlines()[-1] == f"p-value    {shown}"
+
+    def test_report_document_fields(self, tagged, capsys):
+        assert run(["evaluate", "--input", str(tagged), "--format", "json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == ["classes", "matrix", "total", "accuracy", "weighted_precision",
+                             "weighted_recall", "per_class", "majority_class", "majority_baseline"]
+        assert doc["classes"] == ["aa", "bb"]
+        assert doc["matrix"] == [[1, 1], [0, 2]]
+        assert doc["accuracy"] == 0.75
+        assert doc["per_class"]["aa"] == {"precision": 1.0, "recall": 0.5, "support": 2}
+        assert (doc["majority_class"], doc["majority_baseline"]) == ("aa", 0.5)
+
+    def test_render_report_is_aligned_text(self, tagged, capsys):
+        assert run(["evaluate", "--input", str(tagged)]) == 0
+        assert capsys.readouterr().out == (
+            "confusion matrix\n"
+            "gold \\ pred  aa  bb\n"
+            "aa           1   1\n"
+            "bb           0   2\n"
+            "\n"
+            "per-class metrics\n"
+            "class  precision  recall  support\n"
+            "aa     1.0000     0.5000  2\n"
+            "bb     0.6667     1.0000  2\n"
+            "\n"
+            "documents           4\n"
+            "accuracy            0.7500\n"
+            "weighted precision  0.8333\n"
+            "weighted recall     0.7500\n"
+            "majority baseline   0.5000 (aa)\n"
+        )
+
+    def test_render_chi_square_contains_display_p(self, capsys):
+        assert run(["chisq", "--observed", "306,18,13,63",
+                    "--expected", "0.557,0.203,0.084,0.155"]) == 0
+        assert "< 2.2e-16" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tags, rows", [
+        (["en", "zu", "en"], [["en", "2", "0.6667"], ["zu", "1", "0.3333"]]),
+        (["en"] * 100_000 + ["zu"], [["en", "100000", "1.0000"], ["zu", "1", "0.0000"]]),
+    ], ids=["short-labels", "six-digit-count"])
+    def test_distribution_table_is_aligned(self, tmp_path, capsys, tags, rows):
+        src = tmp_path / "tags.jsonl"
+        src.write_text("".join(f'{{"text": "t", "tags": "{t}"}}\n' for t in tags), encoding="utf-8")
+        assert run(["distribution", "--input", str(src)]) == 0
+        header, *lines = capsys.readouterr().out.splitlines()
+        assert [line.split() for line in lines] == rows
+        # labels left-justified under "class", counts right-justified under "count",
+        # proportions left-justified under "proportion", two spaces between columns
+        count_end = header.index("count") + len("count")
+        assert header.startswith("class  ") and header[count_end:] == "  proportion"
+        for line, (_, count, proportion) in zip(lines, rows):
+            assert line[:count_end].endswith("  " + count)
+            assert line[count_end:] == "  " + proportion
+
+
 class TestIdentify:
     def test_profile_may_start_with_bom(self, tmp_path, profile_dir, capsys):
         src = tmp_path / "lines.txt"

@@ -1,11 +1,14 @@
-"""Seeded fault fuzz of the corpus-reading CLI subcommands.
+"""Seeded fault fuzz of the CLI: corrupt corpora and out-of-range numeric flags.
 
 A small, valid JSONL corpus is mutated with fixed seeds: truncated, a byte
 flipped, a field dropped, a field retyped, or a field nested deeply. Each
 mutant goes through ``cli.run`` for one subcommand. Whatever the mutant,
 the run exits 0 or 1 with at most one stderr line and no traceback; on
 exit 0 the --out file is strict JSON, and on exit 1 an existing --out file
-keeps its bytes.
+keeps its bytes. Each numeric flag is also given zero, negative, huge,
+non-finite, subnormal and fractional values, alone and in seeded pairs,
+under the same rules, except that a value the flag's type cannot parse
+exits 2.
 """
 import json
 import random
@@ -128,3 +131,99 @@ def test_mutated_corpus_exits_cleanly(fuzz_setup, command, capsys):
             assert out.read_bytes() == SENTINEL, where
         exits.add(code)
     assert exits == {0, 1}  # the mutants reach both outcomes
+
+
+#: Values for every numeric flag; 1e400 is inf as a float and 1e-320 is subnormal.
+NUMBERS = ["0", "-1", str(10**400), str(-10**400), "nan", "inf", "-inf", "1e400", "1e-320", "1.5"]
+
+#: Each numeric flag as (command, flag, the type its values parse as).
+NUMERIC_FLAGS = [
+    ("train", "--nmin", int), ("train", "--nmax", int), ("train", "--alpha", float),
+    ("identify", "--min-chars", int), ("detect", "--chunks", int), ("detect", "--min-chars", int),
+    ("sample", "--n", int), ("sample", "--seed", int), ("synth", "--seed", int),
+    ("chisq", "--observed", int), ("chisq", "--expected", float),
+]
+PAIRED = {"train": ("--nmin", "--nmax"), "chisq": ("--observed", "--expected")}
+PAIRS = 10  # seeded value pairs per command in PAIRED
+
+#: A list flag's value is one fuzzed number beside a valid one.
+LIST_FLAGS = {"--observed": "{},20", "--expected": "{},0.5"}
+
+
+def numeric_cases():
+    """(command, {flag: value}, every value parses) for each flag and value, then seeded pairs."""
+    kinds = {flag: kind for _, flag, kind in NUMERIC_FLAGS}
+
+    def parses(flag, value):
+        try:
+            kinds[flag](value)
+        except ValueError:
+            return False
+        return True
+
+    cases = [(command, {flag: value}, parses(flag, value))
+             for command, flag, _ in NUMERIC_FLAGS for value in NUMBERS]
+    rng = random.Random("cli-fuzz-numbers")
+    for command, flags in PAIRED.items():
+        for _ in range(PAIRS):
+            values = {flag: rng.choice(NUMBERS) for flag in flags}
+            cases.append((command, values, all(parses(f, v) for f, v in values.items())))
+    return cases
+
+
+def check_numeric_output(command: str, fmt: list[str], data: str) -> None:
+    if command == "chisq" and not fmt:
+        rows = [line.split(maxsplit=1) for line in data.splitlines()]
+        assert [row[0] for row in rows] == ["statistic", "df", "p-value"]
+        assert not any(word in data for word in ("nan", "inf"))
+    elif command in ("train", "chisq"):
+        fileio.loads(data)
+    else:
+        for line in data.splitlines():
+            fileio.loads(line)
+
+
+def test_numeric_flags_exit_cleanly(fuzz_setup, capsys):
+    root, profiles, records = fuzz_setup
+    corpus, lines, out = root / "numeric.jsonl", root / "lines.txt", root / "numeric.out"
+    corpus.write_bytes(render(records))
+    lines.write_text("".join(fileio.loads(r["text"]) + "\n" for r in records), encoding="utf-8")
+    pools = [root / "pool_a.txt", root / "pool_b.txt"]
+    for path, record in zip(pools, records):
+        path.write_text(fileio.loads(record["text"]) + "\n", encoding="utf-8")
+    base = {
+        "train": ["--lang", "xa", "--input", str(lines)],
+        "identify": ["--profiles", str(profiles), "--input", str(lines), "--format", "json"],
+        "detect": ["--profiles", str(profiles), "--input", str(corpus)],
+        "sample": ["--input", str(corpus), "--n", "3", "--seed", "5"],
+        "synth": ["--lang-a", "xa", "--lang-b", "xb", "--source-a", str(pools[0]),
+                  "--source-b", str(pools[1]), "--n-docs", "4"],
+        "chisq": ["--observed", "30,20", "--expected", "0.5,0.5"],
+    }
+    exits = set()
+    for command, values, valid in numeric_cases():
+        # --flag=value, so that argparse does not take "-inf" for a flag
+        flags = [f"{flag}={LIST_FLAGS.get(flag, '{}').format(value)}" for flag, value in values.items()]
+        formats = (["--format", "json"], []) if command == "chisq" else ([],)
+        for fmt in formats:
+            argv = [command, *base[command], "--out", str(out), *fmt, *flags]  # the last flag wins
+            where = " ".join(argv[:1] + fmt + flags)
+            out.write_bytes(SENTINEL)
+            try:
+                code = run(argv)
+            except Exception as exc:  # every fault must end in exit 1 or 2, not escape
+                pytest.fail(f"{where}: {type(exc).__name__}: {exc}")
+            captured = capsys.readouterr()
+            assert captured.out == "", where
+            assert code in ((0, 1) if valid else (2,)), where
+            if code == 0:
+                assert captured.err == "", where
+                check_numeric_output(command, fmt, out.read_text(encoding="utf-8"))
+            else:
+                assert out.read_bytes() == SENTINEL, where
+            if code == 1:
+                assert captured.err.startswith(f"codemix {command}: error: "), where
+                assert "Traceback" not in captured.err and captured.err.count("\n") == 1, where
+            exits.add(code)
+    assert exits == {0, 1, 2}
+

@@ -189,18 +189,27 @@ def test_document_is_an_immutable_record():
 class TestDedupe:
     def test_collapses_normalization_equivalents(self):
         docs = [Document(id=str(i), text=t) for i, t in enumerate(["Hi", "Hi!", "hi"])]
-        kept = dedupe(docs)
+        kept = list(dedupe(docs))
         assert len(kept) == 1
         assert kept[0].text == "Hi"
 
     def test_all_distinct_unchanged(self):
         docs = [Document(id=str(i), text=t) for i, t in enumerate(["one", "two", "three"])]
-        assert dedupe(docs) == docs
+        assert list(dedupe(docs)) == docs
 
     def test_idempotent(self):
         docs = [Document(id=str(i), text=t) for i, t in enumerate(["a", "A", "b", "b!"])]
-        once = dedupe(docs)
-        assert dedupe(once) == once
+        once = list(dedupe(docs))
+        assert list(dedupe(once)) == once
+
+    def test_streams_first_seen_in_input_order(self):
+        texts = ["b", "a", "B!", "c", "A", "b"]
+        read = []
+        docs = (read.append(i) or Document(id=str(i), text=t) for i, t in enumerate(texts))
+        kept = dedupe(docs)
+        assert iter(kept) is kept and read == []  # an iterator that has read nothing yet
+        assert next(kept).id == "0" and read == [0]
+        assert [d.id for d in kept] == ["1", "3"]
 
 
 class TestSample:
@@ -264,6 +273,8 @@ class TestStrata:
         assert pred(LanguageTag.parse("zu,en"))
         assert not pred(LanguageTag.parse("en"))
         assert not pred(None)
+        with pytest.raises(InvalidConfig, match="^a language tag must be a str, got int$"):
+            exact_tag_stratum(5)
 
     def test_pair_stratum(self):
         pred = pair_stratum(["en", "zu", "xh"])
@@ -303,6 +314,8 @@ class TestLabelDistribution:
     def test_declared_class_with_zero_count(self):
         dist = label_distribution([LanguageTag.parse("en")], classes=["en", "zu"])
         assert dist == {"en": 1, "zu": 0, "other": 0}
+        with pytest.raises(InvalidConfig, match="^a language tag must be a str, got NoneType$"):
+            label_distribution([LanguageTag.parse("en")], classes=[None])
 
     def test_proportions_sum_to_one(self):
         rng = random.Random(9)

@@ -33,6 +33,9 @@ class TestLanguageTag:
             LanguageTag.parse("EN")
         with pytest.raises(InvalidConfig):
             LanguageTag([5])
+        for text, kind in ((5, "int"), (None, "NoneType"), (["en"], "list")):
+            with pytest.raises(InvalidConfig, match=f"^a language tag must be a str, got {kind}$"):
+                LanguageTag.parse(text)
 
     def test_multilingual_flag(self):
         assert LanguageTag.parse("zu,en").is_multilingual

@@ -9,13 +9,9 @@ from codemix.evaluation import (
     chi2_sf,
     chi_square_gof,
     confusion,
-    format_p_value,
     majority_baseline,
     majority_class,
     metrics,
-    render_chi_square,
-    render_report,
-    report_document,
 )
 from codemix.corpus import label_distribution
 from codemix.tags import LanguageTag
@@ -66,6 +62,10 @@ class TestConfusion:
             confusion([A], [A, B])
         with pytest.raises(EmptyInput, match="^nothing to evaluate$"):
             confusion([], [])
+        with pytest.raises(InvalidConfig, match="^a language tag must be a str, got int$"):
+            confusion([A], [A], class_scheme=[1])
+        with pytest.raises(InvalidConfig, match="^a class scheme is a sequence of tags, not one str: 'en'$"):
+            confusion([A], [A], class_scheme="en")
 
     def test_other_is_reserved(self):
         with pytest.raises(InvalidConfig):
@@ -297,34 +297,10 @@ class TestChi2Sf:
         for x, k in ((math.nan, 2), (1.0, 2.5), (1.0, True), (1.0, math.nan)):
             with pytest.raises(InvalidConfig, match="^(chi-square statistic|degrees of freedom) must be "):
                 chi2_sf(x, k)
-
-
-class TestReporting:
-    def test_format_p_value(self):
-        assert format_p_value(4.5e-20) == "< 2.2e-16"
-        assert format_p_value(0.0) == "< 2.2e-16"
-        assert format_p_value(0.05) == "0.05"
-        assert format_p_value(1.0) == "1"
-
-    def test_report_document_fields(self):
-        matrix = confusion([A, A, B, B], [A, B, B, B])
-        doc = report_document(
-            matrix,
-            metrics(matrix),
-            baseline=majority_class([A, A, B, B]),
-        )
-        assert doc["classes"] == ["aa", "bb"]
-        assert doc["matrix"] == [[1, 1], [0, 2]]
-        assert doc["accuracy"] == 0.75
-        assert doc["majority_baseline"] == 0.5
-
-    def test_render_report_is_aligned_text(self):
-        matrix = confusion([A, A, B, B], [A, B, B, B])
-        text = render_report(matrix, metrics(matrix), baseline=("aa", 0.5))
-        assert "confusion matrix" in text
-        assert "weighted precision" in text
-        assert "majority baseline" in text
-
-    def test_render_chi_square_contains_display_p(self):
-        text = render_chi_square(chi_square_gof([306, 18, 13, 63], [0.557, 0.203, 0.084, 0.155]))
-        assert "< 2.2e-16" in text
+        for x, kind in (("a", "str"), (True, "bool"), (None, "NoneType")):
+            with pytest.raises(InvalidConfig, match=f"^chi-square statistic must be an int or float, got {kind}$"):
+                chi2_sf(x, 2)
+        for x in (10**400, -10**400):  # the message gives the size, not the 400 digits
+            with pytest.raises(InvalidConfig, match="^chi-square statistic must fit in a float, got an int of 1329 bits$"):
+                chi2_sf(x, 2)
+        assert chi2_sf(math.inf, 2) == 0.0

@@ -377,6 +377,8 @@ class TestProfileSet:
         a = train(["text one"], "aa")
         with pytest.raises(InvalidConfig):
             ProfileSet({"bb": a})
+        with pytest.raises(InvalidConfig, match="^profile keyed 'en' is a str, not a profile$"):
+            ProfileSet({"en": "x"})
 
 
 class TestProfileIO:
