@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import fileio, textnorm
-from .errors import EmptyInput, InvalidConfig, ParseError, check_int
+from .errors import EmptyInput, InvalidConfig, ParseError, brief, check_int
 from .tags import OTHER_CLASS, LanguageTag, check_code, tally_classes
 
 TagPredicate = Callable[[LanguageTag | None], bool]
@@ -38,23 +38,29 @@ class SampleSpec:
         self.n, self.seed, self.stratum = n, seed, stratum
 
 
-#: One shared LanguageTag per distinct tag text, so "zu,en" keeps its own order.
-_cached_tag = functools.lru_cache(maxsize=1024)(LanguageTag.parse)
+#: Distinct tag strings kept by one ``iter_load`` call; more are parsed each time they appear.
+_TAG_TABLE_SIZE = 1024
+
+#: Builds a Document from a 4-tuple in C; the generated ``Document.__new__`` is Python code.
+_document = functools.partial(tuple.__new__, Document)
 
 
-def _parse_tag(record: dict, field: str, line: int) -> LanguageTag | None:
-    value = record.get(field)
-    if value is None:
+def _parse_tag(tags: dict, value: object, field: str | None, line: int) -> LanguageTag | None:
+    """The tag in ``field``'s raw ``value``, checked, and kept in ``tags`` if there is room."""
+    if value is None or field is None:
         return None
     if not isinstance(value, str):
         raise ParseError(f"field {field!r} is not a string", line)
+    if value in tags:
+        return tags[value]
     text = value.strip()
-    if not text:
-        return None
     try:
-        return _cached_tag(text)
+        tag = LanguageTag.parse(text) if text else None
     except InvalidConfig as exc:
         raise ParseError(str(exc), line) from exc
+    if len(tags) < _TAG_TABLE_SIZE:
+        tags[value] = tag
+    return tag
 
 
 def load(*args: Any, **kwargs: Any) -> list[Document]:
@@ -83,27 +89,36 @@ def iter_load(
     """
     if format not in ("jsonl", "csv"):
         raise InvalidConfig(f"unknown corpus format {format!r}")
+    jsonl = format == "jsonl"
+    key = id_field or "id"
+    tag_field, pred_field = tag_field or None, pred_field or None
+    # Raw tag field value -> its tag, shared by both fields; a record without the field reads None.
+    tags: dict = {None: None}
+    seen: set[str] = set()
 
     with fileio.open_text(source) as fh:
-        records = (
-            _jsonl_records(fh)
-            if format == "jsonl"
-            else _csv_records(fh, text_field, id_field)
-        )
-        seen: set[str] = set()
-        for index, (line, record) in enumerate(records):
-            if text_field not in record or record[text_field] is None:
+        for line, record in enumerate(fh, 1) if jsonl else _csv_records(fh, text_field, id_field):
+            if jsonl:  # record is still the line's text
+                if not record.strip():
+                    continue
+                try:
+                    record = fileio.loads(record)
+                except ValueError as exc:
+                    raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line) from exc
+                if not isinstance(record, dict):
+                    raise ParseError("record is not a JSON object", line)
+
+            text = record.get(text_field)
+            if text is None:
                 raise ParseError(f"record has no {text_field!r} field", line)
-            text = record[text_field]
             if not isinstance(text, str):
                 raise ParseError(f"field {text_field!r} is not a string", line)
 
-            key = id_field or "id"
             value = record.get(key)
             if value in (None, ""):
                 if id_field is not None:
                     raise ParseError(f"record has no {key!r} field", line)
-                value = index
+                value = len(seen)  # the record's index: each record before it added one id
             elif type(value) not in (str, int):  # bool and float ids are errors too
                 raise ParseError(f"field {key!r} is not a string or an integer", line)
             doc_id = str(value)
@@ -111,25 +126,13 @@ def iter_load(
                 raise ParseError(f"duplicate document id {doc_id!r}", line)
             seen.add(doc_id)
 
-            yield Document(  # positional: a named tuple takes keywords more slowly
-                doc_id,
-                text,
-                _parse_tag(record, tag_field, line) if tag_field else None,
-                _parse_tag(record, pred_field, line) if pred_field else None,
-            )
-
-
-def _jsonl_records(fh: IO[str]) -> Iterator[tuple[int, dict]]:
-    for line_no, line in enumerate(fh, 1):
-        if not line.strip():
-            continue
-        try:
-            record = fileio.loads(line)
-        except ValueError as exc:
-            raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line_no) from exc
-        if not isinstance(record, dict):
-            raise ParseError("record is not a JSON object", line_no)
-        yield line_no, record
+            # A None field reads None (or a CSV row's list of extra cells, which cannot be a key).
+            try:
+                gold, pred = tags[record.get(tag_field)], tags[record.get(pred_field)]
+            except (KeyError, TypeError):  # a new string, or not a string at all
+                gold = _parse_tag(tags, record.get(tag_field), tag_field, line)
+                pred = _parse_tag(tags, record.get(pred_field), pred_field, line)
+            yield _document((doc_id, text, gold, pred))
 
 
 def _csv_records(
@@ -190,7 +193,7 @@ def sample(docs: Iterable[Document], spec: SampleSpec) -> list[Document]:
     else:
         population = [doc for doc in docs if spec.stratum(doc.pred_tag)]
     if spec.n > len(population):
-        raise EmptyInput(f"requested {spec.n} documents from a population of {len(population)}")
+        raise EmptyInput(f"requested {brief(spec.n)} documents from a population of {len(population)}")
     rng = random.Random(spec.seed)
     needed = spec.n
     remaining = len(population)

@@ -26,7 +26,14 @@ class ParseError(CodemixError):
         self.line = line
 
 
+def brief(value: object) -> str:
+    """``repr(value)`` for a message; an int of more than 64 bits is given by its size, not its digits."""
+    if type(value) is int and value.bit_length() > 64:
+        return f"an int of {value.bit_length()} bits"
+    return repr(value)
+
+
 def check_int(value: object, least: int, what: str) -> None:
     """Raise InvalidConfig unless ``value`` is an int (never a bool) of at least ``least``."""
     if type(value) is not int or value < least:
-        raise InvalidConfig(f"{what} must be an integer of at least {least}, got {value!r}")
+        raise InvalidConfig(f"{what} must be an integer of at least {least}, got {brief(value)}")

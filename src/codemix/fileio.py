@@ -105,10 +105,23 @@ def _reject_constant(name: str) -> float:
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+_JSON_SPACE = " \t\n\r"  # JSON whitespace; a bare str.strip() would also take \x0b, \x0c and U+00A0
 
 
 def loads(text: str) -> Any:
-    """Parse one JSON document; every failure, NaN and Infinity included, is a ValueError."""
+    """Parse one JSON document; every failure, NaN and Infinity included, is a ValueError.
+
+    The decoder's C scanner reads a value that starts the text; the value is
+    the result when only JSON whitespace follows it. Every other text,
+    leading whitespace included, goes through ``decode``, which raises the
+    exact error.
+    """
+    try:
+        value, end = _DECODER.scan_once(text, 0)
+        if not text[end:].strip(_JSON_SPACE):
+            return value
+    except (StopIteration, ValueError, RecursionError):
+        pass
     try:
         return _DECODER.decode(text)
     except RecursionError as exc:

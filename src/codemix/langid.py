@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import fileio, textnorm
-from .errors import EmptyInput, InvalidConfig, ParseError
+from .errors import EmptyInput, InvalidConfig, ParseError, brief
 from .tags import UND, check_code
 
 PROFILE_VERSION = 1
@@ -35,14 +35,24 @@ DEFAULT_MIN_CHARS = 3
 def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
     # bool is an int subclass, and an int alpha may be too large for a float
     if type(n_min) is not int or type(n_max) is not int or not 1 <= n_min <= n_max <= 6:
-        raise InvalidConfig(f"need integers 1 <= n_min <= n_max <= 6, got {n_min!r}..{n_max!r}")
+        raise InvalidConfig(f"need integers 1 <= n_min <= n_max <= 6, got {brief(n_min)}..{brief(n_max)}")
     if type(alpha) not in (int, float) or not 0 < alpha <= sys.float_info.max:
-        raise InvalidConfig(f"smoothing constant must be positive and finite, got {alpha!r}")
+        raise InvalidConfig(f"smoothing constant must be positive and finite, got {brief(alpha)}")
 
 
 def extract_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
-    """Every contiguous codepoint n-gram of each order in [n_min, n_max], orders ascending."""
-    return [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
+    """Every contiguous codepoint n-gram of each order in [n_min, n_max], orders ascending.
+
+    Order n is built from order n - 1 by appending the next codepoint, one C-level map per order.
+    """
+    grams: list[str] = []
+    order = list(text)
+    for n in range(1, n_max + 1):
+        if n > 1:
+            order = list(map(add, order, text[n - 1 :]))
+        if n >= n_min:
+            grams += order
+    return grams
 
 
 class _LogProbs(dict):

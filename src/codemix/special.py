@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidConfig, check_int
+from .errors import InvalidConfig, brief, check_int
 
 _EPS = 1e-16
 _MAX_ITER = 1000
@@ -79,10 +79,8 @@ def chi2_sf(x: float, k: int) -> float:
         raise InvalidConfig(f"chi-square statistic must be an int or float, got {type(x).__name__}")
     try:
         half = x / 2.0
-    except OverflowError as exc:  # an int too large for a float; its digits are not echoed
-        raise InvalidConfig(
-            f"chi-square statistic must fit in a float, got an int of {x.bit_length()} bits"
-        ) from exc
+    except OverflowError as exc:  # an int too large for a float
+        raise InvalidConfig(f"chi-square statistic must fit in a float, got {brief(x)}") from exc
     if not x >= 0.0:
         raise InvalidConfig(f"chi-square statistic must be non-negative, got {x}")
     check_int(k, 1, "degrees of freedom")

@@ -38,8 +38,17 @@ def normalize(raw: str) -> str:
     result carries no leading or trailing space. Removals delete codepoints
     outright (``"2019-07-01"`` leaves nothing behind, ``"don't"`` becomes
     ``"dont"``). Empty output is valid. Idempotent.
+
+    The work goes word by word: ``str.isalpha`` is true exactly when every
+    codepoint is a letter (L*), which the table keeps, so only the words
+    that are not all letters are translated, and a word that comes out
+    empty is dropped. The result equals translating the whole text.
     """
-    return " ".join(raw.casefold().translate(_FATES).split())
+    words = raw.casefold().split()
+    if "".join(words).isalpha():
+        return " ".join(words)
+    kept = (word if word.isalpha() else word.translate(_FATES) for word in words)
+    return " ".join(filter(None, kept))
 
 
 def tokenize(normalized: str) -> list[str]:

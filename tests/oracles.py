@@ -84,6 +84,11 @@ def score_in_gram_order(text: str, profile) -> float:
     return acc / sum(occurrences.values())
 
 
+def ngrams_by_slicing(text: str, n_min: int, n_max: int) -> list[str]:
+    """Each order's grams, orders ascending, each gram sliced out at its start position."""
+    return [text[i : i + n] for n in range(n_min, n_max + 1) for i in range(len(text) - n + 1)]
+
+
 def normalize_by_category(raw: str) -> str:
     """Case-fold, keep letters and marks, turn whitespace into spaces, one codepoint at a time."""
     kept = []

@@ -1,0 +1,69 @@
+"""scripts/bench_summary.py: medians and quartiles per workload and side, and its refusals."""
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPT = ROOT / "scripts" / "bench_summary.py"
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+
+
+@pytest.fixture(scope="module")
+def summary():
+    spec = importlib.util.spec_from_file_location("bench_summary", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x"):
+    """A minimal end-to-end report of one run of bulk-eval."""
+    return {
+        "workload": "bulk-eval", "seed": seed, "trace": 0, "seconds": seconds,
+        "inputs_sha256": {"corpus.jsonl": inputs}, "detect_output_sha256": f"d{seed}",
+        "environment": {"git_commit": commit, "python": "3.11.7", "cpu_count": 2},
+        "failed": failed, "missing_metrics": list(missing),
+        "metrics": {**dict.fromkeys(METRICS, 1.0), "evaluate_docs_per_s": value},
+    }
+
+
+def write(directory, reports):
+    directory.mkdir()
+    for r in reports:
+        (directory / f"{r['workload']}-s{r['seed']}-t0.json").write_text(json.dumps(r), encoding="utf-8")
+    return directory
+
+
+def test_medians_quartiles_and_pairs(summary, tmp_path):
+    parent = write(tmp_path / "parent", [report(s, v) for s, v in [(1, 10.0), (2, 20.0), (3, 30.0), (4, 40.0)]])
+    change = write(tmp_path / "change", [report(s, v, commit="b" * 40)
+                                         for s, v in [(1, 15.0), (2, 25.0), (3, 25.0), (4, 45.0)]])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["sides"]["change"] == {"commit": "b" * 40, "python": "3.11.7", "cpu_count": 2, "reports": 4}
+    entry = doc["workloads"]["bulk-eval"]
+    assert entry["parent"]["seeds"] == [1, 2, 3, 4]
+    assert entry["parent"]["detect_output_sha256"]["3"] == "d3"
+    assert entry["parent"]["metrics"]["evaluate_docs_per_s"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
+    assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4}
+    assert entry["comparison"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
+
+
+@pytest.mark.parametrize("fault, reason", [
+    ({"commit": "c" * 40}, "2 commits"),
+    ({"failed": 1}, "not a correct end-to-end run"),
+    ({"missing": ["setup_s"]}, "not a correct end-to-end run"),
+    ({"seconds": 1.0}, "different run lengths"),
+    ({"inputs": "y"}, "inputs differ"),
+])
+def test_refusals(summary, tmp_path, capsys, fault, reason):
+    parent = write(tmp_path / "parent", [report(1, 10.0), report(2, 10.0)])
+    change = write(tmp_path / "change",
+                   [report(1, 10.0, commit="b" * 40), report(2, 10.0, **{"commit": "b" * 40, **fault})])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 1
+    assert reason in capsys.readouterr().err
+    assert not out.exists()

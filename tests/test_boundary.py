@@ -8,9 +8,10 @@ evaluation layers reach tags without the scorer (detector, langid), and the
 language-code pattern is used nowhere else. errors.check_int holds the
 integer rule: outside errors and langid, no module writes ``type(x) is int``
 or ``type(x) is not int`` itself. errors defines one exception class per
-kind of fault, and no module adds another. The package imports a module
-only when one of its public names is first used, so importing a module loads
-no more than that module needs.
+kind of fault, and no module adds another; beside them it holds only
+check_int and ``brief``, which renders a value for a message. The package
+imports a module only when one of its public names is first used, so
+importing a module loads no more than that module needs.
 """
 import ast
 import os
@@ -122,7 +123,7 @@ def error_subclasses(source: str) -> list[str]:
 def test_errors_defines_the_four_classes_and_check_int():
     defined = {node.name for node in tree("errors.py").body
                if isinstance(node, (ast.ClassDef, ast.FunctionDef))}
-    assert defined == ERROR_CLASSES | {"check_int"}
+    assert defined == ERROR_CLASSES | {"check_int", "brief"}
 
 
 def test_stray_error_subclasses_are_detected():

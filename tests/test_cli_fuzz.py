@@ -8,7 +8,8 @@ exit 0 the --out file is strict JSON, and on exit 1 an existing --out file
 keeps its bytes. Each numeric flag is also given zero, negative, huge,
 non-finite, subnormal and fractional values, alone and in seeded pairs,
 under the same rules, except that a value the flag's type cannot parse
-exits 2.
+exits 2, and an error line stays within 160 characters: a huge integer is
+given by its size in bits, not by its digits.
 """
 import json
 import random
@@ -224,6 +225,7 @@ def test_numeric_flags_exit_cleanly(fuzz_setup, capsys):
             if code == 1:
                 assert captured.err.startswith(f"codemix {command}: error: "), where
                 assert "Traceback" not in captured.err and captured.err.count("\n") == 1, where
+                assert len(captured.err) <= 160, where  # a huge value is given by its size
             exits.add(code)
     assert exits == {0, 1, 2}
 

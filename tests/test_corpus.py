@@ -112,6 +112,17 @@ class TestLoadJsonl:
         docs = load(jsonl(record), tag_field=None, pred_field="tags")
         assert docs[0].pred_tag == LanguageTag.parse("en")
         assert docs[0].gold_tag is None
+        docs = load(jsonl({"text": "a", "": "en"}), tag_field="", pred_field="")  # an empty name reads no field
+        assert (docs[0].gold_tag, docs[0].pred_tag) == (None, None)
+
+    def test_tags_past_the_table_still_parse(self):
+        """More distinct tag strings than one load keeps parsed: each record still gets its own tags."""
+        codes = [a + b for a in "abcdefghijklmnopqrstuvwxyz" for b in "abcdefghijklmnopqrstuvwxyz"]
+        records = [{"text": "x", "tags": f"{code}, {codes[i * 7 % len(codes)]}", "pred": f" {code}"}
+                   for i, code in enumerate(codes * 2)]
+        docs = load(jsonl(*records), pred_field="pred")
+        assert [d.gold_tag.render() for d in docs] == [LanguageTag.parse(r["tags"]).render() for r in records]
+        assert [d.pred_tag.render() for d in docs] == [r["pred"].strip() for r in records]
 
     def test_unknown_format(self):
         with pytest.raises(InvalidConfig):
@@ -144,6 +155,11 @@ class TestLoadCsv:
 
     def test_empty_csv(self):
         assert load(io.StringIO(""), format="csv") == []
+
+    def test_extra_cells_are_not_a_tag(self):
+        fh = io.StringIO("text,id\nhi,1,en,zu\n")  # DictReader keys the extra cells by None
+        docs = load(fh, format="csv", tag_field=None, pred_field=None)
+        assert [(d.id, d.gold_tag, d.pred_tag) for d in docs] == [("1", None, None)]
 
     def test_index_ids_when_no_id_column(self):
         fh = io.StringIO("text\nfoo\nbar\n")
@@ -250,11 +266,18 @@ class TestSample:
     def test_insufficient_population(self):
         with pytest.raises(EmptyInput, match="^requested 5 documents from a population of 3$"):
             sample(self.make_docs(3), SampleSpec(n=5, seed=0))
+        with pytest.raises(EmptyInput, match="^requested an int of 200 bits documents from a population of 3$"):
+            sample(self.make_docs(3), SampleSpec(n=10**60, seed=0))
 
     def test_invalid_spec(self):
         for n, seed in ((0, 0), (5, -1), (2.5, 0), ("3", 1), (True, 1.5), (5, 1.5), (5, True)):
             with pytest.raises(InvalidConfig):
                 SampleSpec(n=n, seed=seed)
+        # up to 64 bits an int is shown in full, and past that by its size
+        for seed, shown in ((1 - 2**64, "-18446744073709551615"), (-(2**64), "an int of 65 bits"),
+                            (-(10**60), "an int of 200 bits")):
+            with pytest.raises(InvalidConfig, match=f"^seed must be an integer of at least 0, got {shown}$"):
+                SampleSpec(n=1, seed=seed)
 
     def test_roughly_uniform_across_seeds(self):
         # 600 draws of 2-of-6; a grossly non-uniform sampler fails this

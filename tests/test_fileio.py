@@ -16,8 +16,37 @@ def test_loads_rejects_non_finite(text):
 
 
 def test_loads_turns_deep_nesting_into_value_error():
+    deep = "[" * 100_000 + "]" * 100_000
     with pytest.raises(ValueError, match="nested too deeply"):
-        fileio.loads("[" * 100_000 + "]" * 100_000)
+        fileio.loads(deep)
+    with pytest.raises(RecursionError):
+        fileio._DECODER.decode(deep)
+
+
+def decoded(parse, text):
+    """What ``parse`` makes of ``text``: its value, or its error's type and message."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(value), value
+
+
+#: Before and after a value: JSON's own spaces, and the non-JSON spaces \x0b, \x0c, U+00A0, U+2028.
+AROUND = [("", ""), ("", " \t\r\n"), (" ", ""), ("\n", "\n")] + [
+    pair for space in ("\x0b", "\x0c", "\xa0", "\u2028") for pair in ((space, ""), ("", space))
+]
+#: Each value in each surrounding; then trailing data, no value, non-finite constants and non-objects.
+EDGES = [before + value + after for value in ('{"a": [1, "x"]}', "1", '"s"') for before, after in AROUND] + [
+    "1 2", "{} []", '{"a": 1} x', "", " ", "\n", "[", '{"a"', "NaN", "Infinity", "-Infinity",
+    "[1, NaN]", '{"a": -Infinity}', "null", "true", "[]", "-0", "1e400", '"\\ud800"',
+]
+
+
+@pytest.mark.parametrize("text", EDGES)
+def test_loads_agrees_with_decode(text):
+    """The scanner shortcut returns decode's value, or raises decode's exact error."""
+    assert decoded(fileio.loads, text) == decoded(fileio._DECODER.decode, text)
 
 
 def test_dumps_is_strict_and_keeps_non_ascii():

@@ -23,7 +23,7 @@ from codemix.langid import (
     train,
 )
 from codemix.textnorm import normalize
-from oracles import random_unicode_string, score_by_loops, score_in_gram_order
+from oracles import ngrams_by_slicing, random_unicode_string, score_by_loops, score_in_gram_order
 
 
 def random_profile(rng, lang="aa"):
@@ -78,6 +78,12 @@ class TestTrain:
     def test_invalid_config(self, kwargs):
         with pytest.raises(InvalidConfig):
             train(["some text"], "aa", **kwargs)
+
+    def test_huge_orders_are_given_by_their_size(self):
+        with pytest.raises(InvalidConfig, match=r"^need integers 1 <= n_min <= n_max <= 6, got an int of 1329 bits\.\.4$"):
+            train(["some text"], "aa", n_min=10**400, n_max=4)
+        with pytest.raises(InvalidConfig, match="^smoothing constant must be positive and finite, got an int of 1329 bits$"):
+            train(["some text"], "aa", alpha=10**400)
 
     @pytest.mark.parametrize("lang", ["und", "EN", "e", "en-us", "a" * 9])
     def test_invalid_lang(self, lang):
@@ -178,6 +184,17 @@ class TestTrain:
                 assert profile.n_min <= len(gram) <= profile.n_max
                 recomputed[len(gram)] += c
             assert recomputed == profile.total_per_order
+
+
+def test_extract_ngrams_matches_slicing():
+    """Order n from order n - 1 plus the next codepoint equals slicing, also for texts shorter than n."""
+    rng = random.Random(17)
+    texts = ["", "a", "ab", "abc", "a b", "ñ̃x", "abcdef", "abcdefg"]
+    texts += [random_unicode_string(rng, 14) for _ in range(40)]
+    for n_min in range(1, 7):
+        for n_max in range(n_min, 7):
+            for text in texts:
+                assert extract_ngrams(text, n_min, n_max) == ngrams_by_slicing(text, n_min, n_max)
 
 
 @pytest.fixture(scope="module")

@@ -113,6 +113,28 @@ class TestNormalizeOracle:
             assert normalize(text) == normalize_by_category(text), ascii(text)
 
 
+    def test_words_mixing_letters_marks_and_punctuation(self):
+        """Word by word, the all-letter shortcut and the translated words give the oracle's text."""
+        rng = random.Random(2029)
+        kinds = ["aBcÉßǅİﬁжΣ", "\u0301\u0308\u093f", "!'.,-#", "123٣⑦", "\U0001F600\u200d\x00"]
+        spaces = " \t\n\xa0\u2028\u3000"
+
+        def word():
+            chosen = rng.sample(kinds, rng.randint(1, 3))
+            return "".join(rng.choice(rng.choice(chosen)) for _ in range(rng.randint(1, 6)))
+
+        for _ in range(3000):
+            words = [word() for _ in range(rng.randint(0, 6))]
+            text = "".join(rng.choice(spaces) + w for w in words) + rng.choice(["", " "])
+            assert normalize(text) == normalize_by_category(text), ascii(text)
+
+
+def test_isalpha_means_every_codepoint_is_a_letter():
+    """normalize keeps a word whole when str.isalpha holds, which it does exactly for category L*."""
+    assert [cp for cp in range(0x110000)
+            if chr(cp).isalpha() != (unicodedata.category(chr(cp))[0] == "L")] == []
+
+
 def test_tokenize():
     assert tokenize("a b c") == ["a", "b", "c"]
     assert tokenize("") == []
