@@ -8,9 +8,10 @@ its ``bench/run.py --trace 0`` reports (``*-t0.json``). For each workload
 and side the output holds the median and quartiles of every end-to-end
 metric, the seeds, and each seed's ``detect`` output digest; each side
 records its commit, Python version and CPU count. With two sides, each
-metric also gets the ratio of the medians (second side over first) and how
+metric also gets the ratio of the medians (second side over first), how
 many same-seed pairs the second side won, in the direction BENCHMARK.json
-gives.
+gives, and whether the ratio is within that metric's BENCHMARK.json bound:
+at least 1 - bound where higher is better, at most 1 + bound where lower is.
 
 A side whose reports come from more than one commit is refused, and so is
 a report with failed operations or a missing metric, reports of different
@@ -56,8 +57,9 @@ def spread(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
 
 
-def summarize(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
-    """The summary document for ``sides`` (name -> reports); ``better`` maps metric -> "higher"/"lower"."""
+def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
+    """The summary document for ``sides`` (name -> reports); ``metrics`` maps each end-to-end
+    metric to its BENCHMARK.json entry, which gives ``better`` ("higher"/"lower") and ``bound``."""
     seconds = {r["seconds"] for reports in sides.values() for r in reports}
     if len(seconds) != 1:
         raise Refused(f"reports of different run lengths: {sorted(seconds)} s")
@@ -82,20 +84,24 @@ def summarize(sides: dict[str, list[dict]], better: dict[str, str]) -> dict:
                 entry[name] = {
                     "seeds": [r["seed"] for r in mine],
                     "detect_output_sha256": {str(r["seed"]): r["detect_output_sha256"] for r in mine},
-                    "metrics": {m: spread([r["metrics"][m] for r in mine]) for m in better},
+                    "metrics": {m: spread([r["metrics"][m] for r in mine]) for m in metrics},
                 }
         if len(sides) == 2 and len(entry) == 2:
             first, second = sides
             pairs = [runs for (w, _), runs in sorted(by_run.items()) if w == workload and len(runs) == 2]
             entry["comparison"] = {}
-            for metric, direction in better.items():
-                sign = 1 if direction == "higher" else -1
-                won = sum(sign * (runs[second]["metrics"][metric] - runs[first]["metrics"][metric]) > 0
+            for metric, rule in metrics.items():
+                higher = rule["better"] == "higher"
+                won = sum((1 if higher else -1) * (runs[second]["metrics"][metric]
+                                                   - runs[first]["metrics"][metric]) > 0
                           for runs in pairs)
                 base = entry[first]["metrics"][metric]["median"]
+                ratio = entry[second]["metrics"][metric]["median"] / base if base else None
+                within = None if ratio is None else (
+                    ratio >= 1 - rule["bound"] if higher else ratio <= 1 + rule["bound"])
                 entry["comparison"][metric] = {
-                    "ratio": entry[second]["metrics"][metric]["median"] / base if base else None,
-                    "pairs_won": won, "pairs": len(pairs),
+                    "ratio": ratio, "pairs_won": won, "pairs": len(pairs),
+                    "bound": rule["bound"], "within_bound": within,
                 }
         doc["workloads"][workload] = entry
     return doc
@@ -107,7 +113,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", required=True, help="the BENCH_<n>.json to write")
     args = parser.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     try:
         sides = {}
         for item in args.sides:
@@ -115,7 +121,7 @@ def main(argv: list[str] | None = None) -> int:
             if not sep or not name or name in sides:
                 raise Refused(f"expected distinct SIDE=DIR arguments, got {item!r}")
             sides[name] = read_side(Path(directory))
-        doc = summarize(sides, better)
+        doc = summarize(sides, metrics)
     except Refused as exc:
         print(f"bench_summary: refused: {exc}", file=sys.stderr)
         return 1

@@ -9,15 +9,15 @@ __version__ = "0.1.0"
 
 #: Each public name, under the module that defines it.
 _EXPORTS = {
-    "corpus": ("Document", "SampleSpec", "dedupe", "label_distribution", "load", "sample"),
+    "corpus": ("Document", "dedupe", "label_distribution", "load", "sample"),
     "detector": ("ChunkResult", "DetectionResult", "aggregate", "detect", "detect_all",
                  "split_chunks"),
     "evaluation": ("ChiSquareResult", "ConfusionMatrix", "EvalReport", "chi_square_gof",
-                   "confusion", "majority_baseline", "metrics"),
+                   "confusion", "metrics"),
     "langid": ("LanguageProfile", "Prediction", "ProfileSet", "identify", "load_profile",
                "load_profile_set", "save_profile", "score", "train"),
     "special": ("chi2_sf",),
-    "synth": ("MixSpec", "generate"),
+    "synth": ("generate",),
     "tags": ("LanguageTag",),
     "textnorm": ("normalize",),
 }

@@ -143,8 +143,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         stratum = corpus.exact_tag_stratum(args.stratum)
     elif args.pairs_of is not None:
         stratum = corpus.pair_stratum(args.pairs_of.split(","))
-    spec = corpus.SampleSpec(n=args.n, seed=args.seed, stratum=stratum)
-    corpus.save_jsonl(corpus.sample(docs, spec), args.out)
+    corpus.save_jsonl(corpus.sample(docs, args.n, args.seed, stratum), args.out)
     return 0
 
 
@@ -236,11 +235,9 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     for path in (args.source_a, args.source_b):
         with open_text(path) as fh:
             pools.append(tuple(fh.read().split()))
-    spec = synth.MixSpec(
-        args.lang_a, args.lang_b, *pools, n_docs=args.n_docs, mix_rate=args.mix_rate,
-        tokens_per_doc=args.tokens_per_doc, seed=args.seed,
-    )
-    corpus.save_jsonl(synth.generate(spec), args.out)
+    docs = synth.generate(args.lang_a, args.lang_b, *pools, n_docs=args.n_docs,
+                          mix_rate=args.mix_rate, tokens_per_doc=args.tokens_per_doc, seed=args.seed)
+    corpus.save_jsonl(docs, args.out)
     return 0
 
 

@@ -29,15 +29,6 @@ class Document(NamedTuple):
     pred_tag: LanguageTag | None = None
 
 
-class SampleSpec:
-    """How to draw one evaluation dataset: size, seed, optional stratum."""
-
-    def __init__(self, n: int, seed: int, stratum: TagPredicate | None = None) -> None:
-        check_int(n, 1, "sample size")
-        check_int(seed, 0, "seed")
-        self.n, self.seed, self.stratum = n, seed, stratum
-
-
 #: Distinct tag strings kept by one ``iter_load`` call; more are parsed each time they appear.
 _TAG_TABLE_SIZE = 1024
 
@@ -178,24 +169,28 @@ def dedupe(docs: Iterable[Document]) -> Iterator[Document]:
             yield doc
 
 
-def sample(docs: Iterable[Document], spec: SampleSpec) -> list[Document]:
-    """Draw a uniform sample without replacement from the stratum.
+def sample(docs: Iterable[Document], n: int, seed: int,
+           stratum: TagPredicate | None = None) -> list[Document]:
+    """Draw ``n`` documents uniformly without replacement from the stratum.
 
     Selection sampling (Knuth's Algorithm S) driven purely by
     ``random.Random(seed).random()``: scanning the filtered population in
     corpus order, item t is kept with probability needed/remaining. Only
     ``Random.random()`` is consumed, whose sequence Python guarantees
-    stable across versions, so a (docs, spec) pair is reproducible across
-    runs, processes and platforms. Output stays in corpus order.
+    stable across versions, so equal arguments give the same sample across
+    runs, processes and platforms. Output stays in corpus order. ``n`` and
+    ``seed`` are checked before ``docs`` is read.
     """
-    if spec.stratum is None:
+    check_int(n, 1, "sample size")
+    check_int(seed, 0, "seed")
+    if stratum is None:
         population = list(docs)
     else:
-        population = [doc for doc in docs if spec.stratum(doc.pred_tag)]
-    if spec.n > len(population):
-        raise EmptyInput(f"requested {brief(spec.n)} documents from a population of {len(population)}")
-    rng = random.Random(spec.seed)
-    needed = spec.n
+        population = [doc for doc in docs if stratum(doc.pred_tag)]
+    if n > len(population):
+        raise EmptyInput(f"requested {brief(n)} documents from a population of {len(population)}")
+    rng = random.Random(seed)
+    needed = n
     remaining = len(population)
     chosen: list[Document] = []
     for doc in population:

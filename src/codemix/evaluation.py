@@ -13,7 +13,7 @@ from collections import Counter
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import label_distribution
-from .errors import EmptyInput, InvalidConfig, check_int
+from .errors import EmptyInput, InvalidConfig, brief, check_int
 from .special import chi2_sf
 from .tags import OTHER_CLASS, LanguageTag, tally_classes
 
@@ -123,11 +123,6 @@ def majority_class(gold: Iterable[LanguageTag]) -> tuple[str, float]:
     return label, counts[label] / sum(counts.values())
 
 
-def majority_baseline(gold: Iterable[LanguageTag]) -> float:
-    """Accuracy of always predicting the most common gold class."""
-    return majority_class(gold)[1]
-
-
 def chi_square_gof(
     observed: Sequence[int],
     expected_props: Sequence[float],
@@ -150,10 +145,14 @@ def chi_square_gof(
         raise InvalidConfig("need at least two categories")
     for o in observed:
         check_int(o, 0, "an observed count")
+
+    def shown() -> str:  # the proportions for a message, rendered only when one is raised
+        return "[" + ", ".join(map(brief, expected_props)) + "]"
+
     if any(type(p) not in (int, float) for p in expected_props):  # bool is not a proportion
-        raise InvalidConfig(f"expected proportions must be ints or floats: {list(expected_props)}")
+        raise InvalidConfig(f"expected proportions must be ints or floats: {shown()}")
     if any(p <= 0 for p in expected_props):
-        raise InvalidConfig(f"expected proportions must be positive: {list(expected_props)}")
+        raise InvalidConfig(f"expected proportions must be positive: {shown()}")
     n = sum(observed)
     if n <= 0:
         raise EmptyInput("observed counts sum to zero")
@@ -166,7 +165,7 @@ def chi_square_gof(
     except OverflowError:  # an int proportion too large for a float
         scale = math.inf
     if not math.isfinite(scale):
-        raise InvalidConfig(f"expected proportions must have a finite sum: {list(expected_props)}")
+        raise InvalidConfig(f"expected proportions must have a finite sum: {shown()}")
     statistic = 0.0
     try:
         for o, prop in zip(observed, expected_props):

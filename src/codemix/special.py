@@ -24,8 +24,10 @@ import math
 from .errors import InvalidConfig, brief, check_int
 
 _EPS = 1e-16
-_MAX_ITER = 1000
+_MAX_ITER = 100_000
 _TINY = 1e-300
+#: 1 / the least normal float: past this x/2 the fraction's first term 1/b is subnormal.
+_HUGE = 2.0**1022
 
 
 def _log_prefactor(a: float, x: float) -> float:
@@ -42,15 +44,15 @@ def _lower_gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            break
-    return total * math.exp(_log_prefactor(a, x))
+            return total * math.exp(_log_prefactor(a, x))
+    return math.nan  # not converged
 
 
 def _upper_gamma_fraction(a: float, x: float) -> float:
     """Q(a, x) by the continued fraction, modified Lentz evaluation."""
     b = x + 1.0 - a
     c = 1.0 / _TINY
-    d = 1.0 / b
+    d = 1.0 / (b if abs(b) >= _TINY else _TINY)
     h = d
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
@@ -65,15 +67,18 @@ def _upper_gamma_fraction(a: float, x: float) -> float:
         delta = d * c
         h *= delta
         if abs(delta - 1.0) < _EPS:
-            break
-    return math.exp(_log_prefactor(a, x)) * h
+            return math.exp(_log_prefactor(a, x)) * h
+    return math.nan  # not converged
 
 
 def chi2_sf(x: float, k: int) -> float:
     """Upper-tail probability P(X > x) for a chi-square with k degrees of freedom.
 
     Raises InvalidConfig unless x is an int or float (never a bool) that fits
-    in a float and is >= 0 (so NaN fails), and k is an integer of at least 1.
+    in a float and is >= 0 (so NaN fails), and k is an integer from 1 to about
+    5e305 (so that log Gamma(k/2) fits in a float). It either converges or
+    raises: a tail that has not met its tolerance within _MAX_ITER terms
+    raises InvalidConfig too, never returning a truncated sum.
     """
     if type(x) not in (int, float):
         raise InvalidConfig(f"chi-square statistic must be an int or float, got {type(x).__name__}")
@@ -84,8 +89,16 @@ def chi2_sf(x: float, k: int) -> float:
     if not x >= 0.0:
         raise InvalidConfig(f"chi-square statistic must be non-negative, got {x}")
     check_int(k, 1, "degrees of freedom")
-    a, x = k / 2.0, half  # sf(x; k) = Q(k/2, x/2)
-    if x == 0.0:
+    try:
+        a = k / 2.0  # sf(x; k) = Q(k/2, x/2)
+        math.lgamma(a)  # the prefactor needs log Gamma(k/2) as a float too
+    except OverflowError as exc:
+        raise InvalidConfig(f"degrees of freedom are too large, got {brief(k)}") from exc
+    if half == 0.0:
         return 1.0
-    q = 1.0 - _lower_gamma_series(a, x) if x < a + 1.0 else _upper_gamma_fraction(a, x)
+    if half > _HUGE:  # infinity too; x/2 > 170 k/2 here, as k/2 < 2.6e305, so Q underflows to 0
+        return 0.0
+    q = 1.0 - _lower_gamma_series(a, half) if half < a + 1.0 else _upper_gamma_fraction(a, half)
+    if math.isnan(q):
+        raise InvalidConfig(f"chi-square tail did not converge for statistic {brief(x)} and df {brief(k)}")
     return min(1.0, max(0.0, q))

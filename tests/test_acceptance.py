@@ -18,10 +18,10 @@ import pytest
 import codemix
 from codemix import langid, synth
 from codemix.cli import run
-from codemix.corpus import Document, SampleSpec, sample
+from codemix.corpus import Document, sample
 from codemix.detector import detect_all
 from codemix.errors import EmptyInput
-from codemix.evaluation import chi2_sf, confusion, majority_baseline, metrics
+from codemix.evaluation import chi2_sf, confusion, majority_class, metrics
 from codemix.langid import load_profile, profile_to_json, save_profile, train
 from codemix.tags import LanguageTag
 from codemix.textnorm import normalize
@@ -60,7 +60,7 @@ def test_majority_baseline_reconstruction():
         + [LanguageTag.parse("st")] * 19
     )
     assert len(gold) == 400
-    baseline = majority_baseline(gold)
+    baseline = majority_class(gold)[1]
     elapsed = time.perf_counter() - started
     assert baseline == 0.765
     assert elapsed < 1.0
@@ -143,12 +143,12 @@ def test_end_to_end_synthetic_detection(synthetic_languages):
         {"xa": train(lines_a, "xa"), "xb": train(lines_b, "xb")}
     )
 
-    spec = synth.MixSpec(
+    mix = dict(
         lang_a="xa", lang_b="xb",
         source_a=pool_a, source_b=pool_b,
         n_docs=2000, mix_rate=0.5, tokens_per_doc=12, seed=99,
     )
-    docs = synth.generate(spec)
+    docs = synth.generate(**mix)
     # one chunk per token: every switch point is observable, so the 0.95
     # bars are attainable (k=4 tops out near 0.82 code-switch recall when
     # switch points fall inside a chunk)
@@ -159,7 +159,7 @@ def test_end_to_end_synthetic_detection(synthetic_languages):
     mixed = [(d, r) for d, r in zip(docs, results) if d.gold_tag.is_multilingual]
     recall = sum(1 for _, r in mixed if r.code_switched) / len(mixed)
 
-    rerun = detect_all(synth.generate(spec), profiles, k=12)
+    rerun = detect_all(synth.generate(**mix), profiles, k=12)
     assert [r.tag for r in rerun] == [r.tag for r in results]
 
     elapsed = time.perf_counter() - started
@@ -172,8 +172,8 @@ def test_end_to_end_synthetic_detection(synthetic_languages):
 
 def test_sampling_determinism(tmp_path):
     docs = [Document(id=str(i), text=f"document number {i}") for i in range(5000)]
-    spec = SampleSpec(n=400, seed=42)
-    assert [d.id for d in sample(docs, spec)] == [d.id for d in sample(docs, spec)]
+    ids = [d.id for d in sample(docs, n=400, seed=42)]
+    assert ids == [d.id for d in sample(docs, n=400, seed=42)]
 
     # across process restarts: run the CLI twice in fresh interpreters
     corpus_path = tmp_path / "corpus.jsonl"

@@ -18,14 +18,14 @@ def summary():
     return module
 
 
-def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x"):
+def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x", setup_s=1.0):
     """A minimal end-to-end report of one run of bulk-eval."""
     return {
         "workload": "bulk-eval", "seed": seed, "trace": 0, "seconds": seconds,
         "inputs_sha256": {"corpus.jsonl": inputs}, "detect_output_sha256": f"d{seed}",
         "environment": {"git_commit": commit, "python": "3.11.7", "cpu_count": 2},
         "failed": failed, "missing_metrics": list(missing),
-        "metrics": {**dict.fromkeys(METRICS, 1.0), "evaluate_docs_per_s": value},
+        "metrics": {**dict.fromkeys(METRICS, 1.0), "evaluate_docs_per_s": value, "setup_s": setup_s},
     }
 
 
@@ -48,8 +48,25 @@ def test_medians_quartiles_and_pairs(summary, tmp_path):
     assert entry["parent"]["seeds"] == [1, 2, 3, 4]
     assert entry["parent"]["detect_output_sha256"]["3"] == "d3"
     assert entry["parent"]["metrics"]["evaluate_docs_per_s"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
-    assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4}
+    assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4,
+                                                          "bound": 0.2, "within_bound": True}
     assert entry["comparison"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
+
+
+@pytest.mark.parametrize("docs_per_s, setup_s, docs_within, setup_within", [
+    (0.81, 1.24, True, True),  # evaluate_docs_per_s: higher is better, bound 0.2; setup_s: lower, 0.25
+    (0.79, 1.0, False, True),
+    (1.0, 1.26, True, False),
+])
+def test_within_bound_follows_the_direction(summary, tmp_path, docs_per_s, setup_s, docs_within,
+                                            setup_within):
+    parent = write(tmp_path / "parent", [report(1, 1.0)])
+    change = write(tmp_path / "change", [report(1, docs_per_s, commit="b" * 40, setup_s=setup_s)])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    comparison = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["comparison"]
+    assert {m: c["within_bound"] for m, c in comparison.items()} == {
+        **dict.fromkeys(METRICS, True), "evaluate_docs_per_s": docs_within, "setup_s": setup_within}
 
 
 @pytest.mark.parametrize("fault, reason", [

@@ -174,10 +174,11 @@ def test_public_name_comes_from_its_defining_module(name):
 def test_star_import_binds_every_public_name():
     namespace = {}
     exec("from codemix import *", namespace)
-    assert len(codemix.__all__) == 33
+    assert len(codemix.__all__) == 30
     assert set(namespace) - {"__builtins__"} == set(codemix.__all__)
 
 
-def test_unknown_name_is_an_attribute_error():
-    with pytest.raises(AttributeError, match="no_such_name"):
-        codemix.no_such_name
+@pytest.mark.parametrize("name", ["no_such_name", "SampleSpec", "MixSpec", "majority_baseline"])
+def test_unknown_name_is_an_attribute_error(name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(codemix, name)

@@ -6,7 +6,6 @@ import pytest
 
 from codemix.corpus import (
     Document,
-    SampleSpec,
     dedupe,
     document_record,
     exact_tag_stratum,
@@ -237,22 +236,21 @@ class TestSample:
 
     def test_deterministic_and_distinct(self):
         docs = self.make_docs(1000)
-        spec = SampleSpec(n=400, seed=42)
-        first = sample(docs, spec)
-        second = sample(docs, spec)
+        first = sample(docs, n=400, seed=42)
+        second = sample(docs, n=400, seed=42)
         assert [d.id for d in first] == [d.id for d in second]
         assert len({d.id for d in first}) == 400
 
     def test_output_in_corpus_order(self):
         docs = self.make_docs(500)
-        chosen = sample(docs, SampleSpec(n=100, seed=7))
+        chosen = sample(docs, n=100, seed=7)
         positions = [int(d.id) for d in chosen]
         assert positions == sorted(positions)
 
     def test_different_seeds_differ(self):
         docs = self.make_docs(1000)
-        a = {d.id for d in sample(docs, SampleSpec(n=400, seed=1))}
-        b = {d.id for d in sample(docs, SampleSpec(n=400, seed=2))}
+        a = {d.id for d in sample(docs, n=400, seed=1)}
+        b = {d.id for d in sample(docs, n=400, seed=2)}
         assert a != b
 
     def test_stratum_filters_population(self):
@@ -260,31 +258,41 @@ class TestSample:
             Document(id=str(i), text="t", pred_tag=LanguageTag.parse("en" if i % 2 else "zu"))
             for i in range(100)
         ]
-        chosen = sample(docs, SampleSpec(n=20, seed=3, stratum=exact_tag_stratum("en")))
+        chosen = sample(docs, n=20, seed=3, stratum=exact_tag_stratum("en"))
         assert all(d.pred_tag == LanguageTag.parse("en") for d in chosen)
 
     def test_insufficient_population(self):
         with pytest.raises(EmptyInput, match="^requested 5 documents from a population of 3$"):
-            sample(self.make_docs(3), SampleSpec(n=5, seed=0))
+            sample(self.make_docs(3), n=5, seed=0)
         with pytest.raises(EmptyInput, match="^requested an int of 200 bits documents from a population of 3$"):
-            sample(self.make_docs(3), SampleSpec(n=10**60, seed=0))
+            sample(self.make_docs(3), n=10**60, seed=0)
 
     def test_invalid_spec(self):
         for n, seed in ((0, 0), (5, -1), (2.5, 0), ("3", 1), (True, 1.5), (5, 1.5), (5, True)):
             with pytest.raises(InvalidConfig):
-                SampleSpec(n=n, seed=seed)
+                sample(self.make_docs(3), n=n, seed=seed)
         # up to 64 bits an int is shown in full, and past that by its size
         for seed, shown in ((1 - 2**64, "-18446744073709551615"), (-(2**64), "an int of 65 bits"),
                             (-(10**60), "an int of 200 bits")):
             with pytest.raises(InvalidConfig, match=f"^seed must be an integer of at least 0, got {shown}$"):
-                SampleSpec(n=1, seed=seed)
+                sample(self.make_docs(3), n=1, seed=seed)
+
+    def test_sample_checks_arguments_before_reading_docs(self):
+        def unread():
+            pytest.fail("docs was read before the arguments were checked")
+            yield
+
+        for n, seed, message in ((0, 0, "^sample size must be an integer of at least 1, got 0$"),
+                                 (1, -1, "^seed must be an integer of at least 0, got -1$")):
+            with pytest.raises(InvalidConfig, match=message):
+                sample(unread(), n=n, seed=seed)
 
     def test_roughly_uniform_across_seeds(self):
         # 600 draws of 2-of-6; a grossly non-uniform sampler fails this
         docs = self.make_docs(6)
         counts = {d.id: 0 for d in docs}
         for seed in range(600):
-            for doc in sample(docs, SampleSpec(n=2, seed=seed)):
+            for doc in sample(docs, n=2, seed=seed):
                 counts[doc.id] += 1
         result = chi_square_gof(list(counts.values()), [1 / 6] * 6)
         assert result.p_value > 1e-6

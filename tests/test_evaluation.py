@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import pytest
 
@@ -9,7 +10,6 @@ from codemix.evaluation import (
     chi2_sf,
     chi_square_gof,
     confusion,
-    majority_baseline,
     majority_class,
     metrics,
 )
@@ -126,20 +126,20 @@ class TestMetrics:
 class TestMajorityBaseline:
     def test_reconstructed_sample(self):
         gold = tags_of(["en"] * 306 + ["zu"] * 18 + ["xh"] * 13 + ["st"] * 63)
-        assert majority_baseline(gold) == 0.765
+        assert majority_class(gold)[1] == 0.765
 
     def test_uniform_two_classes(self):
-        assert majority_baseline([A, B, A, B]) == 0.5
+        assert majority_class([A, B, A, B])[1] == 0.5
 
     def test_single_class(self):
-        assert majority_baseline([A, A]) == 1.0
+        assert majority_class([A, A])[1] == 1.0
 
     def test_majority_class_label(self):
         assert majority_class([A, A, B]) == ("aa", 2 / 3)
 
     def test_empty(self):
         with pytest.raises(EmptyInput):
-            majority_baseline([])
+            majority_class([])
 
 
 #: Declared schemes: classes the data never shows ("af", "nr,ss"), and
@@ -260,6 +260,13 @@ class TestChiSquareGof:
         for props in (["a", 0.5], [None, 0.5], [True, 0.5]):
             with pytest.raises(InvalidConfig, match=r"^expected proportions must be ints or floats: \["):
                 chi_square_gof([1, 2], props)
+        # a huge proportion is given by its size, not its 400 digits
+        for props, shown in (([10**400, 1], "must have a finite sum: [an int of 1329 bits, 1]"),
+                             ([-1, 10**400], "must be positive: [-1, an int of 1329 bits]")):
+            with pytest.raises(InvalidConfig, match="an int of 1329 bits") as caught:
+                chi_square_gof([1, 2], props)
+            assert str(caught.value) == f"expected proportions {shown}"
+            assert len(str(caught.value)) <= 160
 
 
 class TestChi2Sf:
@@ -304,3 +311,19 @@ class TestChi2Sf:
             with pytest.raises(InvalidConfig, match="^chi-square statistic must fit in a float, got an int of 1329 bits$"):
                 chi2_sf(x, 2)
         assert chi2_sf(math.inf, 2) == 0.0
+        for k in (10**400, 10**308, 10**306):  # past a float, or Gamma(k/2) past one in logs
+            with pytest.raises(InvalidConfig, match=f"^degrees of freedom are too large, got an int of {k.bit_length()} bits$"):
+                chi2_sf(1.0, k)
+        for x, k, shown in ((1e10, 10**10, "10000000000.0 and df 10000000000"),
+                            (1e300, 10**300, "1e+300 and df an int of 997 bits")):
+            with pytest.raises(InvalidConfig, match="^chi-square tail did not converge ") as caught:
+                chi2_sf(x, k)
+            assert str(caught.value) == f"chi-square tail did not converge for statistic {shown}"
+
+    def test_large_df_converges_or_underflows(self):
+        # past 1,000 terms the old cap returned 0.5784 here
+        assert chi2_sf(1e6, 10**6) == pytest.approx(0.49981193693309733, abs=1e-9)
+        assert chi2_sf(1.0, 10**305) == 1.0
+        for x in (8.98e307, 8.99e307, 1e308, sys.float_info.max):  # either side of 1/b going subnormal
+            assert chi2_sf(x, 1) == 0.0
+            assert chi2_sf(x, 10**305) == 0.0
