@@ -105,6 +105,11 @@ def _reject_constant(name: str) -> float:
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
+# _ENCODER's C encoder, built once: ``encode`` builds a new one per call. It keeps
+# no circular-reference markers; codemix encodes only the acyclic trees it builds.
+_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring, None, ": ", ", ", False, False, False
+)
 _JSON_SPACE = " \t\n\r"  # JSON whitespace; a bare str.strip() would also take \x0b, \x0c and U+00A0
 
 
@@ -131,7 +136,7 @@ def loads(text: str) -> Any:
 def dumps(obj: Any, **layout: Any) -> str:
     """Strict JSON text with non-ASCII kept; ``layout`` is e.g. indent or sort_keys."""
     if not layout:
-        return _ENCODER.encode(obj)
+        return "".join(_ENCODE(obj, 0)) if _ENCODE else _ENCODER.encode(obj)
     return json.dumps(obj, ensure_ascii=False, allow_nan=False, **layout)
 
 

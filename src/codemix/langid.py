@@ -15,7 +15,7 @@ import math
 import sys
 from collections import Counter
 from functools import reduce
-from itertools import repeat
+from itertools import islice, repeat
 from operator import add, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -31,6 +31,8 @@ DEFAULT_N_MIN = 1
 DEFAULT_N_MAX = 4
 DEFAULT_ALPHA = 0.5
 DEFAULT_MIN_CHARS = 3
+
+_TRAIN_BLOCK = 1024  # texts joined per counting pass; bounds train's memory on a streamed file
 
 def _check_orders(n_min: int, n_max: int, alpha: float) -> None:
     # bool is an int subclass, and an int alpha may be too large for a float
@@ -53,6 +55,32 @@ def extract_ngrams(text: str, n_min: int, n_max: int) -> list[str]:
         if n >= n_min:
             grams += order
     return grams
+
+
+def _count_ngrams(texts: Iterable[str], n_min: int, n_max: int) -> dict[str, int]:
+    """Training count of each gram: what Counter over extract_ngrams of each text gives.
+
+    No text may hold "\n", which normalized text never does. Texts are joined
+    in blocks with "\n" and padded with n_max - 1 "\n", so every codepoint
+    starts one n_max-codepoint window, and the windows are counted in one
+    C-level pass. Each distinct window then adds its count to every prefix of
+    n_min or more codepoints that stops before a "\n".
+    """
+    windows: Counter[tuple[str, ...]] = Counter()
+    texts, pad = iter(texts), "\n" * (n_max - 1)
+    while block := list(islice(texts, _TRAIN_BLOCK)):
+        joined = "\n".join(block) + pad
+        windows.update(zip(*(joined[i:] for i in range(n_max))))
+    counts: dict[str, int] = {}
+    for window, count in windows.items():
+        gram = ""
+        for char in window:
+            if char == "\n":
+                break
+            gram += char
+            if len(gram) >= n_min:
+                counts[gram] = counts.get(gram, 0) + count
+    return counts
 
 
 class _LogProbs(dict):
@@ -155,14 +183,10 @@ def train(
     check_code(lang)
     _check_orders(n_min, n_max, alpha)
 
-    counts: Counter[str] = Counter()
-    for line in lines:
-        normalized = textnorm.normalize(line)
-        if normalized:
-            counts.update(extract_ngrams(normalized, n_min, n_max))
+    counts = _count_ngrams(filter(None, map(textnorm.normalize, lines)), n_min, n_max)
     if not counts:
         raise EmptyInput(f"no usable text in training corpus for {lang!r}")
-    return LanguageProfile(lang, n_min, n_max, alpha, counts=dict(counts))
+    return LanguageProfile(lang, n_min, n_max, alpha, counts=counts)
 
 
 def score(text: str, profiles: ProfileSet) -> dict[str, float]:

@@ -1,5 +1,6 @@
 """codemix.fileio: the text-file policy and the strict JSON codec."""
 import io
+import json
 import math
 import os
 import sys
@@ -54,6 +55,24 @@ def test_dumps_is_strict_and_keeps_non_ascii():
     assert fileio.dumps({"b": 1, "a": 2}, sort_keys=True, indent=1) == '{\n "a": 2,\n "b": 1\n}'
     with pytest.raises(ValueError):
         fileio.dumps([math.nan])
+
+
+@pytest.mark.parametrize("obj", [
+    {"id": "d-1", "text": "Ngiyabonga 😀 ñ\u0301", "tags": None, "chunks": [{"lang": "zu", "confidence": 0.5}]},
+    [[], {}, [{"a": [1, -2.5e-300, 1e300, True, False, None]}], "\x00\u2028\"\\"],
+    {1: "int key", 1.5: "float key", True: "bool key", None: "null key"},
+    "a top-level str, ünïcode and \U0001F600",
+    0, -1.0, 10**400, None,
+])
+def test_dumps_equals_strict_json_dumps(obj):
+    assert fileio.dumps(obj) == json.dumps(obj, ensure_ascii=False, allow_nan=False)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_dumps_rejects_non_finite_anywhere(value):
+    for obj in (value, [value], {"a": {"b": [1, value]}}):
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.dumps(obj)
 
 
 def test_open_text_policy(tmp_path):

@@ -78,7 +78,6 @@ def test_train_normalizes_and_counts_each_line_once(work, lang):
         "cli.run": 1,
         "langid.train": 1,
         "textnorm.normalize": TRAIN_LINES,
-        "langid.extract_ngrams": TRAIN_LINES,
         "langid.save_profile": 1,
     }
 
