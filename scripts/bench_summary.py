@@ -12,6 +12,10 @@ metric also gets the ratio of the medians (second side over first), how
 many same-seed pairs the second side won, in the direction BENCHMARK.json
 gives, and whether the ratio is within that metric's BENCHMARK.json bound:
 at least 1 - bound where higher is better, at most 1 + bound where lower is.
+Each side also holds the median and quartiles of each report's ``raw``
+metrics, the timed metrics computed from unscaled seconds, and with two
+sides ``raw_comparison`` gives their ratios and pairs won, with no bound, so
+a move that only the calibration rescaling makes shows as one.
 
 A side whose reports come from more than one commit is refused, and so is
 a report with failed operations or a missing metric, reports of different
@@ -78,6 +82,8 @@ def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
 
     for workload in sorted({w for w, _ in by_run}):
         entry: dict = {}
+        runs_here = [r for reports in sides.values() for r in reports if r["workload"] == workload]
+        raw_metrics = [m for m in metrics if all(m in r["raw"] for r in runs_here)]
         for name, reports in sides.items():
             mine = sorted((r for r in reports if r["workload"] == workload), key=lambda r: r["seed"])
             if mine:
@@ -85,24 +91,33 @@ def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
                     "seeds": [r["seed"] for r in mine],
                     "detect_output_sha256": {str(r["seed"]): r["detect_output_sha256"] for r in mine},
                     "metrics": {m: spread([r["metrics"][m] for r in mine]) for m in metrics},
+                    "raw": {m: spread([r["raw"][m] for r in mine]) for m in raw_metrics},
                 }
         if len(sides) == 2 and len(entry) == 2:
             first, second = sides
             pairs = [runs for (w, _), runs in sorted(by_run.items()) if w == workload and len(runs) == 2]
+
+            def compare(key: str, metric: str) -> tuple[float | None, int]:
+                """The ratio of medians (second side over first; None when the first is 0) of
+                ``metric`` in the reports' ``key`` ("metrics" or "raw"), and the pairs the second won."""
+                sign = 1 if metrics[metric]["better"] == "higher" else -1
+                won = sum(sign * (runs[second][key][metric] - runs[first][key][metric]) > 0 for runs in pairs)
+                base = entry[first][key][metric]["median"]
+                return (entry[second][key][metric]["median"] / base if base else None), won
+
             entry["comparison"] = {}
             for metric, rule in metrics.items():
-                higher = rule["better"] == "higher"
-                won = sum((1 if higher else -1) * (runs[second]["metrics"][metric]
-                                                   - runs[first]["metrics"][metric]) > 0
-                          for runs in pairs)
-                base = entry[first]["metrics"][metric]["median"]
-                ratio = entry[second]["metrics"][metric]["median"] / base if base else None
+                ratio, won = compare("metrics", metric)
                 within = None if ratio is None else (
-                    ratio >= 1 - rule["bound"] if higher else ratio <= 1 + rule["bound"])
+                    ratio >= 1 - rule["bound"] if rule["better"] == "higher" else ratio <= 1 + rule["bound"])
                 entry["comparison"][metric] = {
                     "ratio": ratio, "pairs_won": won, "pairs": len(pairs),
                     "bound": rule["bound"], "within_bound": within,
                 }
+            entry["raw_comparison"] = {}
+            for metric in raw_metrics:
+                ratio, won = compare("raw", metric)
+                entry["raw_comparison"][metric] = {"ratio": ratio, "pairs_won": won, "pairs": len(pairs)}
         doc["workloads"][workload] = entry
     return doc
 

@@ -114,8 +114,8 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
     record["chunks"] = [
-        {"index": c.index, "text": c.text, **c.prediction._asdict(), "reliable": c.reliable}
-        for c in result.chunks
+        {"index": i, "text": c.text, **c.prediction._asdict(), "reliable": c.reliable}
+        for i, c in enumerate(result.chunks)
     ]
     return record
 

@@ -21,9 +21,8 @@ DEFAULT_CHUNKS = 4
 
 
 class ChunkResult(NamedTuple):
-    """Top-1 identification for one chunk of a document."""
+    """Top-1 identification for one chunk of a document; its index is its position in ``chunks``."""
 
-    index: int
     text: str
     prediction: Prediction
 
@@ -39,7 +38,11 @@ class DetectionResult(NamedTuple):
     doc_id: str
     chunks: tuple[ChunkResult, ...]
     tag: LanguageTag
-    code_switched: bool
+
+    @property
+    def code_switched(self) -> bool:
+        """Whether the tag holds two or more languages."""
+        return self.tag.is_multilingual
 
 
 def check_chunks(k: int) -> None:
@@ -94,20 +97,15 @@ def detect(
     normalized = textnorm.normalize(doc.text)
     tokens = textnorm.tokenize(normalized)
     if not tokens:
-        return DetectionResult(doc_id=doc.id, chunks=(), tag=UND_TAG, code_switched=False)
+        return DetectionResult(doc_id=doc.id, chunks=(), tag=UND_TAG)
 
     chunk_results = []
-    for index, chunk_tokens in enumerate(split_chunks(tokens, k)):
+    for chunk_tokens in split_chunks(tokens, k):
         chunk_text = " ".join(chunk_tokens)
         top = langid.identify(chunk_text, profiles, min_chars)[0]
-        chunk_results.append(ChunkResult(index=index, text=chunk_text, prediction=top))
+        chunk_results.append(ChunkResult(text=chunk_text, prediction=top))
     tag = aggregate([c.prediction.lang for c in chunk_results])
-    return DetectionResult(
-        doc_id=doc.id,
-        chunks=tuple(chunk_results),
-        tag=tag,
-        code_switched=tag.is_multilingual,
-    )
+    return DetectionResult(doc_id=doc.id, chunks=tuple(chunk_results), tag=tag)
 
 
 def detect_all(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import label_distribution
@@ -157,20 +159,17 @@ def chi_square_gof(
     if n <= 0:
         raise EmptyInput("observed counts sum to zero")
 
-    # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
-    scale = 0.0
+    # reduce, not sum(): sum() compensates float sums from Python 3.12 on, changing bytes
     try:
-        for prop in expected_props:
-            scale += prop
+        scale = reduce(add, expected_props, 0.0)
     except OverflowError:  # an int proportion too large for a float
         scale = math.inf
     if not math.isfinite(scale):
         raise InvalidConfig(f"expected proportions must have a finite sum: {shown()}")
-    statistic = 0.0
+    expected = (n * (prop / scale) for prop in expected_props)
+    terms = ((o - e) ** 2 / e if e else math.inf for o, e in zip(observed, expected))
     try:
-        for o, prop in zip(observed, expected_props):
-            e = n * (prop / scale)
-            statistic += (o - e) ** 2 / e if e else math.inf
+        statistic = reduce(add, terms, 0.0)
     except OverflowError as exc:
         raise InvalidConfig(f"a count or chi-square term does not fit in a float: {exc}") from exc
     if not math.isfinite(statistic):

@@ -204,7 +204,7 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
     scores = {}
     for lang, p in profiles.profiles.items():
         log_probs = map(p._log_prob.__getitem__, zip(orders, map(p.counts.get, counted, repeat(0))))
-        # reduce, not sum(): sum() compensates float sums from Python 3.12 on
+        # reduce, not sum(): sum() compensates float sums from Python 3.12 on, changing bytes
         scores[lang] = reduce(add, map(mul, counted.values(), log_probs), 0.0) / len(grams)
     return scores
 
@@ -233,10 +233,7 @@ def identify(
     scored = score(normalized, profiles)
     peak = max(scored.values())
     weights = [(lang, s, math.exp(s - peak)) for lang, s in scored.items()]
-    # Not sum(): it compensates float sums from Python 3.12 on, changing bytes.
-    denom = 0.0
-    for _, _, w in weights:
-        denom += w
+    denom = reduce(add, (w for _, _, w in weights), 0.0)
     predictions = [Prediction(lang, s, w / denom) for lang, s, w in weights]
     predictions.sort(key=lambda p: (-p.avg_log_likelihood, p.lang))
     return predictions

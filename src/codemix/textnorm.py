@@ -15,16 +15,16 @@ class _Fates(dict):
     """Codepoint -> its fate under normalize, decided on first sight.
 
     The first letter of the Unicode general category decides: letters and
-    marks are kept, everything else (P, S, N, C, Z) is dropped (None) or,
-    when whitespace, turned into a separator. Extended_Pictographic
-    codepoints all carry S*, P* or Cn categories, so emoji fall out with the
-    symbols. Each entry depends only on its codepoint, so the table fills
-    the same way from any thread and is bounded by Unicode.
+    marks are kept, everything else (P, S, N, C, Z) is dropped (None).
+    Whitespace never gets here: ``normalize`` splits on it first. Emoji
+    (Extended_Pictographic codepoints all carry S*, P* or Cn categories)
+    fall out with the symbols. Each entry depends only on its codepoint, so
+    the table fills the same way from any thread and is bounded by Unicode.
     """
 
     def __missing__(self, cp: int) -> str | None:
         ch = chr(cp)
-        fate = self[cp] = " " if ch.isspace() else ch if unicodedata.category(ch)[0] in "LM" else None
+        fate = self[cp] = ch if unicodedata.category(ch)[0] in "LM" else None
         return fate
 
 

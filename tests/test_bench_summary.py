@@ -8,6 +8,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPT = ROOT / "scripts" / "bench_summary.py"
 METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]]
+#: The timed metrics, which bench/run.py also reports from unscaled seconds as "raw".
+RAW = ["setup_s", "train_s", "detect_docs_per_s", "library_docs_per_s", "evaluate_docs_per_s", "tools_s",
+       "pipeline_s"]
 
 
 @pytest.fixture(scope="module")
@@ -18,7 +21,8 @@ def summary():
     return module
 
 
-def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x", setup_s=1.0):
+def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x", setup_s=1.0,
+           raw=1.0):
     """A minimal end-to-end report of one run of bulk-eval."""
     return {
         "workload": "bulk-eval", "seed": seed, "trace": 0, "seconds": seconds,
@@ -26,6 +30,7 @@ def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inp
         "environment": {"git_commit": commit, "python": "3.11.7", "cpu_count": 2},
         "failed": failed, "missing_metrics": list(missing),
         "metrics": {**dict.fromkeys(METRICS, 1.0), "evaluate_docs_per_s": value, "setup_s": setup_s},
+        "raw": {**dict.fromkeys(RAW, 1.0), "evaluate_docs_per_s": raw},
     }
 
 
@@ -51,6 +56,22 @@ def test_medians_quartiles_and_pairs(summary, tmp_path):
     assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4,
                                                           "bound": 0.2, "within_bound": True}
     assert entry["comparison"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
+
+
+def test_raw_metrics_get_medians_ratios_and_pairs(summary, tmp_path):
+    """A scaled loss beside an even raw result: both are reported, the raw one without a bound."""
+    parent = write(tmp_path / "parent", [report(s, 10.0, raw=r) for s, r in [(1, 8.0), (2, 9.0), (3, 10.0)]])
+    change = write(tmp_path / "change", [report(s, 9.0, commit="b" * 40, raw=r)
+                                         for s, r in [(1, 9.0), (2, 8.0), (3, 10.0)]])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]
+    assert set(entry["parent"]["raw"]) == set(entry["raw_comparison"]) == set(RAW)
+    assert entry["parent"]["raw"]["evaluate_docs_per_s"] == {"median": 9.0, "q1": 8.5, "q3": 9.5, "n": 3}
+    assert entry["comparison"]["evaluate_docs_per_s"]["ratio"] == 0.9
+    assert entry["comparison"]["evaluate_docs_per_s"]["pairs_won"] == 0
+    assert entry["raw_comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 1, "pairs": 3}
+    assert entry["raw_comparison"]["setup_s"] == {"ratio": 1.0, "pairs_won": 0, "pairs": 3}
 
 
 @pytest.mark.parametrize("docs_per_s, setup_s, docs_within, setup_within", [

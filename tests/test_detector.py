@@ -4,7 +4,7 @@ import pytest
 
 from codemix import textnorm
 from codemix.corpus import Document
-from codemix.detector import aggregate, detect, detect_all, split_chunks
+from codemix.detector import ChunkResult, DetectionResult, aggregate, detect, detect_all, split_chunks
 from codemix.errors import EmptyInput, InvalidConfig
 from codemix.tags import UND_TAG, LanguageTag
 
@@ -131,6 +131,16 @@ class TestDetect:
         assert result.tag == UND_TAG
         assert result.chunks == ()
         assert not result.code_switched
+
+    def test_code_switched_is_read_from_the_tag(self, trained_profiles):
+        assert DetectionResult._fields == ("doc_id", "chunks", "tag")
+        assert ChunkResult._fields == ("text", "prediction")
+        mixed = DetectionResult("d", (), LanguageTag.parse("xa,xb"))
+        assert mixed.code_switched
+        assert mixed._asdict() == {"doc_id": "d", "chunks": (), "tag": LanguageTag.parse("xb,xa")}
+        empty = detect(Document(id="e", text=""), trained_profiles)
+        assert empty == ("e", (), UND_TAG)
+        assert not empty.code_switched
 
     def test_chunk_count_and_coverage(self, trained_profiles, synthetic_languages):
         pool_a, _ = synthetic_languages["xa"]

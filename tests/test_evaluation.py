@@ -320,6 +320,16 @@ class TestChi2Sf:
                 chi2_sf(x, k)
             assert str(caught.value) == f"chi-square tail did not converge for statistic {shown}"
 
+    @pytest.mark.parametrize("x, k, reference", [  # Q(k/2, x/2) from mpmath.gammainc at 40 digits
+        (100.0, 100, 0.48119168452795672),
+        (6e4, 60000, 0.49923223508122895),
+        (1e6, 10**6, 0.4998119368033945),
+        (1e8, 10**8, 0.49998119368054632),
+    ])
+    def test_error_within_the_stated_bound(self, x, k, reference):
+        bound = 1e-12 if k <= 100 else 5e-16 * k  # the module docstring's promise
+        assert abs(chi2_sf(x, k) - reference) <= bound
+
     def test_large_df_converges_or_underflows(self):
         # past 1,000 terms the old cap returned 0.5784 here
         assert chi2_sf(1e6, 10**6) == pytest.approx(0.49981193693309733, abs=1e-9)

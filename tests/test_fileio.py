@@ -57,6 +57,11 @@ def test_dumps_is_strict_and_keeps_non_ascii():
         fileio.dumps([math.nan])
 
 
+#: The C encoder dumps builds once, and None: the fallback to _ENCODER.encode where json has no
+#: C encoder (as on PyPy).
+ENCODERS = [fileio._ENCODE, None]
+
+
 @pytest.mark.parametrize("obj", [
     {"id": "d-1", "text": "Ngiyabonga 😀 ñ\u0301", "tags": None, "chunks": [{"lang": "zu", "confidence": 0.5}]},
     [[], {}, [{"a": [1, -2.5e-300, 1e300, True, False, None]}], "\x00\u2028\"\\"],
@@ -64,15 +69,22 @@ def test_dumps_is_strict_and_keeps_non_ascii():
     "a top-level str, ünïcode and \U0001F600",
     0, -1.0, 10**400, None,
 ])
-def test_dumps_equals_strict_json_dumps(obj):
-    assert fileio.dumps(obj) == json.dumps(obj, ensure_ascii=False, allow_nan=False)
+def test_dumps_equals_strict_json_dumps(obj, monkeypatch):
+    for encode in ENCODERS:
+        monkeypatch.setattr(fileio, "_ENCODE", encode)
+        assert fileio.dumps(obj) == json.dumps(obj, ensure_ascii=False, allow_nan=False)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
-def test_dumps_rejects_non_finite_anywhere(value):
+def test_dumps_rejects_non_finite_anywhere(value, monkeypatch):
     for obj in (value, [value], {"a": {"b": [1, value]}}):
-        with pytest.raises(ValueError, match="not JSON compliant"):
-            fileio.dumps(obj)
+        with pytest.raises(ValueError, match="not JSON compliant") as strict:
+            json.dumps(obj, ensure_ascii=False, allow_nan=False)
+        for encode in ENCODERS:
+            monkeypatch.setattr(fileio, "_ENCODE", encode)
+            with pytest.raises(ValueError) as caught:
+                fileio.dumps(obj)
+            assert str(caught.value) == str(strict.value)
 
 
 def test_open_text_policy(tmp_path):
