@@ -11,7 +11,9 @@ records its commit, Python version and CPU count. With two sides, each
 metric also gets the ratio of the medians (second side over first), how
 many same-seed pairs the second side won, in the direction BENCHMARK.json
 gives, and whether the ratio is within that metric's BENCHMARK.json bound:
-at least 1 - bound where higher is better, at most 1 + bound where lower is.
+at least 1 - bound where higher is better, at most 1 + bound where lower is;
+and each workload gets ``detect_output_equal``, whether every seed both
+sides ran gave the same ``detect`` output digest on both.
 Each side also holds the median and quartiles of each report's ``raw``
 metrics, the timed metrics computed from unscaled seconds, and with two
 sides ``raw_comparison`` gives their ratios and pairs won, with no bound, so
@@ -105,6 +107,8 @@ def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
                 base = entry[first][key][metric]["median"]
                 return (entry[second][key][metric]["median"] / base if base else None), won
 
+            entry["detect_output_equal"] = all(
+                runs[first]["detect_output_sha256"] == runs[second]["detect_output_sha256"] for runs in pairs)
             entry["comparison"] = {}
             for metric, rule in metrics.items():
                 ratio, won = compare("metrics", metric)

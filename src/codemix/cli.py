@@ -160,13 +160,11 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     counts = corpus.label_distribution(tags, classes=args.classes)
     total = sum(counts.values())
     proportions = {label: c / total for label, c in counts.items()}
-    width = max(len("class"), *map(len, proportions))
-    digits = max(len("count"), *(len(str(c)) for c in counts.values()))
-    table = [f"{'class'.ljust(width)}  {'count'.rjust(digits)}  proportion"]
-    table += [f"{label.ljust(width)}  {str(counts[label]).rjust(digits)}  {p:.4f}"
-              for label, p in proportions.items()]
+    digits = max(len("count"), *(len(str(c)) for c in counts.values()))  # counts align right
+    rows = [["class", "count".rjust(digits), "proportion"]]
+    rows += [[label, str(c).rjust(digits), f"{proportions[label]:.4f}"] for label, c in counts.items()]
     doc = {"total": total, "counts": counts, "proportions": proportions}
-    return _report(args, doc, "\n".join(table))
+    return _report(args, doc, _table(rows))
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:

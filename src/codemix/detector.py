@@ -92,8 +92,11 @@ def detect(
 
     normalize -> tokenize -> chunk -> identify each chunk -> aggregate the
     top-1 chunk labels. Documents that normalize to empty get the "und"
-    tag with no chunks.
+    tag with no chunks. Raises InvalidConfig unless ``k`` is a chunk count
+    and ``min_chars`` an int, whatever the text.
     """
+    check_chunks(k)
+    langid.check_min_chars(min_chars)
     normalized = textnorm.normalize(doc.text)
     tokens = textnorm.tokenize(normalized)
     if not tokens:
@@ -114,5 +117,7 @@ def detect_all(
     k: int = DEFAULT_CHUNKS,
     min_chars: int = langid.DEFAULT_MIN_CHARS,
 ) -> list[DetectionResult]:
-    """Detect a batch of documents; results come back in input order."""
+    """Detect a batch of documents, in input order; an empty batch checks ``k`` and ``min_chars`` too."""
+    check_chunks(k)
+    langid.check_min_chars(min_chars)
     return [detect(doc, profiles, k=k, min_chars=min_chars) for doc in docs]

@@ -40,8 +40,12 @@ class ClassMetrics(NamedTuple):
 class EvalReport(NamedTuple):
     accuracy: float
     weighted_precision: float
-    weighted_recall: float
     per_class: dict[str, ClassMetrics]
+
+    @property
+    def weighted_recall(self) -> float:
+        """Support-weighted recall: sum(support/total * hit/support) is trace/total, the accuracy."""
+        return self.accuracy
 
 
 class ChiSquareResult(NamedTuple):
@@ -80,39 +84,29 @@ def confusion(
 
 
 def metrics(m: ConfusionMatrix) -> EvalReport:
-    """Accuracy plus per-class and support-weighted precision/recall.
+    """Accuracy plus per-class and support-weighted precision.
 
     Precision of a class nobody predicted is 0 by convention; classes with
-    zero gold support carry weight 0. Weighted recall always equals
-    accuracy (both are trace/total), mirroring exact-match evaluation.
+    zero gold support carry weight 0. Weighted recall is not summed: it is
+    accuracy (both are trace/total), so ``EvalReport.weighted_recall`` reads
+    ``accuracy``, mirroring exact-match evaluation.
     """
     total = m.total
     if total == 0:
         raise EmptyInput("confusion matrix has no observations")
 
-    k = len(m.classes)
     per_class: dict[str, ClassMetrics] = {}
-    weighted_p = 0.0
-    weighted_r = 0.0
     trace = 0
-    for i, label in enumerate(m.classes):
-        support = sum(m.counts[i])
-        column = sum(m.counts[g][i] for g in range(k))
-        hit = m.counts[i][i]
+    for i, (label, row, column) in enumerate(zip(m.classes, m.counts, zip(*m.counts))):
+        support = sum(row)
+        predicted = sum(column)
+        hit = row[i]
         trace += hit
-        precision = hit / column if column else 0.0
+        precision = hit / predicted if predicted else 0.0
         recall = hit / support if support else 0.0
         per_class[label] = ClassMetrics(precision=precision, recall=recall, support=support)
-        weight = support / total
-        weighted_p += weight * precision
-        weighted_r += weight * recall
-
-    return EvalReport(
-        accuracy=trace / total,
-        weighted_precision=weighted_p,
-        weighted_recall=weighted_r,
-        per_class=per_class,
-    )
+    weighted_p = reduce(add, (c.support / total * c.precision for c in per_class.values()), 0.0)
+    return EvalReport(accuracy=trace / total, weighted_precision=weighted_p, per_class=per_class)
 
 
 def majority_class(gold: Iterable[LanguageTag]) -> tuple[str, float]:

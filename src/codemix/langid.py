@@ -209,6 +209,12 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
     return scores
 
 
+def check_min_chars(min_chars: int) -> None:
+    """Raise InvalidConfig unless ``min_chars`` is an int (never a bool)."""
+    if type(min_chars) is not int:  # bool is an int subclass
+        raise InvalidConfig(f"min_chars must be an integer, got {min_chars!r}")
+
+
 def identify(
     text: str,
     profiles: ProfileSet,
@@ -223,8 +229,7 @@ def identify(
     are a softmax over the mean log likelihoods; ties rank by ascending
     language code. Raises InvalidConfig unless ``min_chars`` is an int.
     """
-    if type(min_chars) is not int:  # bool is an int subclass
-        raise InvalidConfig(f"min_chars must be an integer, got {min_chars!r}")
+    check_min_chars(min_chars)
     normalized = textnorm.normalize(text)
     significant = len(normalized) - normalized.count(" ")
     if significant < max(min_chars, 1) or len(normalized) < profiles.n_min:

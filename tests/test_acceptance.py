@@ -97,7 +97,7 @@ def test_metric_identities():
             [LanguageTag.parse(p) for p in pred],
         )
         report = metrics(matrix)
-        assert abs(report.weighted_recall - report.accuracy) <= 1e-12
+        assert report.weighted_recall == report.accuracy
         expected = metrics_by_loops(gold, pred)
         assert abs(report.accuracy - expected["accuracy"]) <= 1e-12
         assert abs(report.weighted_precision - expected["weighted_precision"]) <= 1e-12

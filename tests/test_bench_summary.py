@@ -22,11 +22,11 @@ def summary():
 
 
 def report(seed, value, commit="a" * 40, failed=0, missing=(), seconds=40.0, inputs="x", setup_s=1.0,
-           raw=1.0):
+           raw=1.0, detect=""):
     """A minimal end-to-end report of one run of bulk-eval."""
     return {
         "workload": "bulk-eval", "seed": seed, "trace": 0, "seconds": seconds,
-        "inputs_sha256": {"corpus.jsonl": inputs}, "detect_output_sha256": f"d{seed}",
+        "inputs_sha256": {"corpus.jsonl": inputs}, "detect_output_sha256": f"d{seed}{detect}",
         "environment": {"git_commit": commit, "python": "3.11.7", "cpu_count": 2},
         "failed": failed, "missing_metrics": list(missing),
         "metrics": {**dict.fromkeys(METRICS, 1.0), "evaluate_docs_per_s": value, "setup_s": setup_s},
@@ -72,6 +72,17 @@ def test_raw_metrics_get_medians_ratios_and_pairs(summary, tmp_path):
     assert entry["comparison"]["evaluate_docs_per_s"]["pairs_won"] == 0
     assert entry["raw_comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 1, "pairs": 3}
     assert entry["raw_comparison"]["setup_s"] == {"ratio": 1.0, "pairs_won": 0, "pairs": 3}
+
+
+@pytest.mark.parametrize("change_detect, equal", [("", True), ("x", False)])
+def test_detect_output_equal_compares_each_shared_seed(summary, tmp_path, change_detect, equal):
+    """Seed 3 runs on the parent side only, so its digest is compared with nothing."""
+    parent = write(tmp_path / "parent", [report(s, 10.0, detect="p" * (s == 3)) for s in (1, 2, 3)])
+    change = write(tmp_path / "change", [report(1, 10.0, commit="b" * 40),
+                                         report(2, 10.0, commit="b" * 40, detect=change_detect)])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["detect_output_equal"] is equal
 
 
 @pytest.mark.parametrize("docs_per_s, setup_s, docs_within, setup_within", [

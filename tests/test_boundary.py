@@ -11,7 +11,8 @@ or ``type(x) is not int`` itself. errors defines one exception class per
 kind of fault, and no module adds another; beside them it holds only
 check_int and ``brief``, which renders a value for a message. The package
 imports a module only when one of its public names is first used, so
-importing a module loads no more than that module needs.
+importing a module loads no more than that module needs, and the CLI loads
+nothing outside the standard library.
 """
 import ast
 import os
@@ -164,6 +165,12 @@ def test_importing_evaluation_leaves_out_the_scorer_and_synth():
 def test_cli_start_up_generates_no_code():
     """Records are named tuples and plain classes, so the CLI needs neither module."""
     assert loaded_after("import codemix.cli", prefix="").isdisjoint({"dataclasses", "inspect"})
+
+
+def test_cli_needs_only_the_standard_library():
+    """The README promises no dependency beyond the standard library."""
+    top_level = {name.partition(".")[0] for name in loaded_after("import codemix.cli", prefix="")}
+    assert top_level - sys.stdlib_module_names - {"__main__"} == {"codemix"}  # __main__: the -c program
 
 
 @pytest.mark.parametrize("name", codemix.__all__)

@@ -526,7 +526,7 @@ class TestPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert doc["total"] == 300
         assert doc["accuracy"] >= 0.95
-        assert abs(doc["weighted_recall"] - doc["accuracy"]) <= 1e-12
+        assert doc["weighted_recall"] == doc["accuracy"]
 
     def test_distribution(self, synth_corpus, capsys):
         assert run(["distribution", "--input", str(synth_corpus),

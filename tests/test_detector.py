@@ -106,11 +106,25 @@ class TestAggregate:
             aggregate([])
 
 
+ARGUMENT_TEXTS = ["abc abd", "12345 !!!", ""]  # scored, normalizing to empty, empty
+
+
 class TestDetect:
     @pytest.mark.parametrize("min_chars", ["3", None, 1.5, True])
     def test_min_chars_must_be_an_int(self, trained_profiles, min_chars):
-        with pytest.raises(InvalidConfig):
-            detect(Document(id="d", text="abc abd"), trained_profiles, min_chars=min_chars)
+        for text in ARGUMENT_TEXTS:
+            with pytest.raises(InvalidConfig, match="^min_chars must be an integer"):
+                detect(Document(id="d", text=text), trained_profiles, min_chars=min_chars)
+
+    @pytest.mark.parametrize("k", [0, -1, "4", 1.5, True])
+    def test_chunk_count_is_checked_whatever_the_text(self, trained_profiles, k):
+        for text in ARGUMENT_TEXTS:
+            with pytest.raises(InvalidConfig, match="^chunk count must be an integer of at least 1"):
+                detect(Document(id="d", text=text), trained_profiles, k=k)
+
+    def test_an_empty_batch_checks_its_arguments(self, trained_profiles):
+        with pytest.raises(InvalidConfig, match="^chunk count"):
+            detect_all([], trained_profiles, k=0)
 
     def test_mixed_document_gets_both_languages(self, trained_profiles, synthetic_languages):
         pool_a, _ = synthetic_languages["xa"]

@@ -7,6 +7,7 @@ import pytest
 from codemix.errors import EmptyInput, InvalidConfig
 from codemix.evaluation import (
     ConfusionMatrix,
+    EvalReport,
     chi2_sf,
     chi_square_gof,
     confusion,
@@ -92,6 +93,10 @@ class TestMetrics:
         assert report.weighted_precision == 1.0
         assert report.weighted_recall == 1.0
 
+    def test_weighted_recall_is_read_from_accuracy(self):
+        assert EvalReport._fields == ("accuracy", "weighted_precision", "per_class")
+        assert EvalReport(0.25, 0.5, {}).weighted_recall == 0.25
+
     def test_empty_matrix(self):
         with pytest.raises(EmptyInput, match="^confusion matrix has no observations$"):
             metrics(ConfusionMatrix(classes=("aa",), counts=((0,),)))
@@ -101,7 +106,7 @@ class TestMetrics:
         for _ in range(200):
             gold, pred = random_labelling(rng)
             report = metrics(confusion(tags_of(gold), tags_of(pred)))
-            assert abs(report.weighted_recall - report.accuracy) <= 1e-12
+            assert report.weighted_recall == report.accuracy
 
     def test_matches_per_document_oracle(self):
         rng = random.Random(29)

@@ -30,6 +30,7 @@ GOLDEN = {
     "distribution_classes_json": "89be07a826d455199dca006e80cb81bf7a21b03035fb38e30dc5954735f7acd4",
     "distribution_classes_table": "907dc0372eb2acb7d78c7636a44b021e25118f4da111dc38e4960d32acbcee02",
     "baseline": "c6c543e608fc2bb2314e286276b64f51b42a061b1b6b45b3929fa953396999f2",
+    "baseline_table": "581a7efb9ba1a064377cb0e304e4fdadfc038b73a4f2b2a7a58c727a915b675b",
     "sample": "4f4a891c1defa114f204f4eb1e91b84757f5a04f110a0eafea3d8c5f1c979c10",
     "dedupe": "06d67ad0a3614306a8f61a03b3a9a4c7adc9080999c97db847dacbf09bc42cb9",
     "chisq_json": "ecb473ae491e3eab63659044bd0de6597b53182a01efc9d520d353f445a67ead",
@@ -100,6 +101,7 @@ def outputs(tmp_path_factory, overlapping_languages):
     cli("distribution_classes_table", "distribution", *pred, "--classes", "xb", "xa")
 
     cli("baseline", "baseline", "--input", str(synth), "--format", "json")
+    cli("baseline_table", "baseline", "--input", str(synth))
     cli("sample", "sample", *pred, "--n", "5", "--seed", "2", "--pairs-of", "xa,xb")
 
     records = [json.loads(line) for line in synth.read_text(encoding="utf-8").splitlines()]
