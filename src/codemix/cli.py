@@ -7,8 +7,8 @@ flag switches between them where both make sense; every command's output
 format is defined here. Re-running a subcommand with identical flags (and
 seeds) produces byte-identical machine output.
 
-Exit codes: 0 success, 1 operational error (bad input or file),
-2 usage error (bad flags).
+``run`` decides every exit status: 0 once a handler returns, 1 on an
+operational error (bad input or file), 2 on a usage error (bad flags).
 """
 from __future__ import annotations
 
@@ -37,11 +37,10 @@ def _comma_floats(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"expected comma-joined numbers, got {text!r}") from exc
 
 
-def _report(args: argparse.Namespace, doc: dict, table: str) -> int:
+def _report(args: argparse.Namespace, doc: dict, table: str) -> None:
     """Write ``doc`` as JSON or ``table`` as text, as --format asks, to --out."""
     with open_text(args.out, "w") as out:
         out.write((dumps(doc, indent=2) if args.format == "json" else table) + "\n")
-    return 0
 
 
 def _table(rows: list[list[str]]) -> str:
@@ -88,15 +87,14 @@ def _read_corpus(
 # --- subcommand handlers ---
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
+def _cmd_train(args: argparse.Namespace) -> None:
     profile = langid.train(
         _lines(args.input), args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
     )
     langid.save_profile(profile, args.out)
-    return 0
 
 
-def _cmd_identify(args: argparse.Namespace) -> int:
+def _cmd_identify(args: argparse.Namespace) -> None:
     profiles = langid.load_profile_set(args.profiles)
     with open_text(args.out, "w") as out:
         for i, line in enumerate(_lines(args.input)):
@@ -106,7 +104,6 @@ def _cmd_identify(args: argparse.Namespace) -> int:
             else:
                 ranking = " ".join(f"{p.lang}:{p.confidence:.4f}" for p in predictions)
                 out.write(f"{i}\t{predictions[0].lang}\t{ranking}\n")
-    return 0
 
 
 def _detection_record(doc: corpus.Document, result: detector.DetectionResult) -> dict:
@@ -120,7 +117,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
     return record
 
 
-def _cmd_detect(args: argparse.Namespace) -> int:
+def _cmd_detect(args: argparse.Namespace) -> None:
     detector.check_chunks(args.chunks)  # before any document, so even an empty corpus fails
     profiles = langid.load_profile_set(args.profiles)
     records = (
@@ -128,15 +125,13 @@ def _cmd_detect(args: argparse.Namespace) -> int:
         for doc in _read_corpus(args, args.tag_field)
     )
     write_jsonl(records, args.out)
-    return 0
 
 
-def _cmd_dedupe(args: argparse.Namespace) -> int:
+def _cmd_dedupe(args: argparse.Namespace) -> None:
     corpus.save_jsonl(corpus.dedupe(_read_corpus(args, args.tag_field)), args.out)
-    return 0
 
 
-def _cmd_sample(args: argparse.Namespace) -> int:
+def _cmd_sample(args: argparse.Namespace) -> None:
     docs = _read_corpus(args, None, args.tag_field, corpus.load)
     stratum = None
     if args.stratum is not None:
@@ -144,19 +139,17 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     elif args.pairs_of is not None:
         stratum = corpus.pair_stratum(args.pairs_of.split(","))
     corpus.save_jsonl(corpus.sample(docs, args.n, args.seed, stratum), args.out)
-    return 0
 
 
-def _tag_of(doc: corpus.Document, attr: str, field: str) -> tags.LanguageTag:
-    """The document's ``attr`` tag ("gold_tag" or "pred_tag"), read from ``field``."""
-    tag = getattr(doc, attr)
+def _tag_of(doc: corpus.Document, tag: tags.LanguageTag | None, field: str) -> tags.LanguageTag:
+    """``tag``, the document's gold or predicted tag, read from ``field``."""
     if tag is None:
         raise ParseError(f"document {doc.id!r} has no {field!r} tag")
     return tag
 
 
-def _cmd_distribution(args: argparse.Namespace) -> int:
-    tags = (_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field))
+def _cmd_distribution(args: argparse.Namespace) -> None:
+    tags = (_tag_of(doc, doc.gold_tag, args.tag_field) for doc in _read_corpus(args, args.tag_field))
     counts = corpus.label_distribution(tags, classes=args.classes)
     total = sum(counts.values())
     proportions = {label: c / total for label, c in counts.items()}
@@ -164,21 +157,21 @@ def _cmd_distribution(args: argparse.Namespace) -> int:
     rows = [["class", "count".rjust(digits), "proportion"]]
     rows += [[label, str(c).rjust(digits), f"{proportions[label]:.4f}"] for label, c in counts.items()]
     doc = {"total": total, "counts": counts, "proportions": proportions}
-    return _report(args, doc, _table(rows))
+    _report(args, doc, _table(rows))
 
 
-def _cmd_evaluate(args: argparse.Namespace) -> int:
+def _cmd_evaluate(args: argparse.Namespace) -> None:
     gold, pred = [], []
     for doc in _read_corpus(args, args.gold_field, args.pred_field):
-        gold.append(_tag_of(doc, "gold_tag", args.gold_field))
-        pred.append(_tag_of(doc, "pred_tag", args.pred_field))
+        gold.append(_tag_of(doc, doc.gold_tag, args.gold_field))
+        pred.append(_tag_of(doc, doc.pred_tag, args.pred_field))
 
     matrix = evaluation.confusion(gold, pred, class_scheme=args.classes)
     report = evaluation.metrics(matrix)
     majority, baseline = evaluation.majority_class(gold)
     doc = {
-        "classes": list(matrix.classes),
-        "matrix": [list(row) for row in matrix.counts],
+        "classes": matrix.classes,
+        "matrix": matrix.counts,
         "total": matrix.total,
         "accuracy": report.accuracy,
         "weighted_precision": report.weighted_precision,
@@ -189,8 +182,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
     }
 
     rows = [["gold \\ pred", *matrix.classes]]
-    for i, label in enumerate(matrix.classes):
-        rows.append([label, *(str(c) for c in matrix.counts[i])])
+    for label, row in zip(matrix.classes, matrix.counts):
+        rows.append([label, *(str(c) for c in row)])
     out = ["confusion matrix", _table(rows), ""]
 
     rows = [["class", "precision", "recall", "support"]]
@@ -206,17 +199,17 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         ["majority baseline", f"{baseline:.4f} ({majority})"],
     ]
     out.append(_table(summary))
-    return _report(args, doc, "\n".join(out))
+    _report(args, doc, "\n".join(out))
 
 
-def _cmd_baseline(args: argparse.Namespace) -> int:
-    gold = (_tag_of(doc, "gold_tag", args.tag_field) for doc in _read_corpus(args, args.tag_field))
+def _cmd_baseline(args: argparse.Namespace) -> None:
+    gold = (_tag_of(doc, doc.gold_tag, args.tag_field) for doc in _read_corpus(args, args.tag_field))
     label, freq = evaluation.majority_class(gold)
     doc = {"majority_class": label, "baseline_accuracy": freq}
-    return _report(args, doc, f"majority class      {label}\nbaseline accuracy   {freq:.4f}")
+    _report(args, doc, f"majority class      {label}\nbaseline accuracy   {freq:.4f}")
 
 
-def _cmd_chisq(args: argparse.Namespace) -> int:
+def _cmd_chisq(args: argparse.Namespace) -> None:
     result = evaluation.chi_square_gof(args.observed, args.expected)
     p_display = _format_p_value(result.p_value)
     doc = {**result._asdict(), "p_display": p_display}
@@ -225,10 +218,10 @@ def _cmd_chisq(args: argparse.Namespace) -> int:
         ["df", str(result.df)],
         ["p-value", p_display],
     ]
-    return _report(args, doc, _table(rows))
+    _report(args, doc, _table(rows))
 
 
-def _cmd_synth(args: argparse.Namespace) -> int:
+def _cmd_synth(args: argparse.Namespace) -> None:
     pools = []
     for path in (args.source_a, args.source_b):
         with open_text(path) as fh:
@@ -236,7 +229,6 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     docs = synth.generate(args.lang_a, args.lang_b, *pools, n_docs=args.n_docs,
                           mix_rate=args.mix_rate, tokens_per_doc=args.tokens_per_doc, seed=args.seed)
     corpus.save_jsonl(docs, args.out)
-    return 0
 
 
 # --- parser ---
@@ -290,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sample", _cmd_sample, "seeded uniform sample, optionally stratified by tag",
                 corpus_in, out)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default %(default)s)")
     group = p.add_mutually_exclusive_group()
     group.add_argument("--stratum", help="exact tag set, e.g. en or en,zu")
     group.add_argument(
@@ -327,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-docs", type=int, required=True)
     p.add_argument("--mix-rate", type=float, default=0.5)
     p.add_argument("--tokens-per-doc", type=int, default=12)
-    p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default 0)")
+    p.add_argument("--seed", type=int, default=SEED_DEFAULT, help="RNG seed (default %(default)s)")
 
     return parser
 
@@ -340,10 +332,11 @@ def run(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.handler(args)
+        args.handler(args)
     except (CodemixError, OSError, UnicodeError) as exc:
         print(f"codemix {args.command}: error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 def main() -> None:

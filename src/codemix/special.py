@@ -79,8 +79,9 @@ def chi2_sf(x: float, k: int) -> float:
     Raises InvalidConfig unless x is an int or float (never a bool) that fits
     in a float and is >= 0 (so NaN fails), and k is an integer from 1 to about
     5e305 (so that log Gamma(k/2) fits in a float). It either converges or
-    raises: a tail that has not met its tolerance within _MAX_ITER terms
-    raises InvalidConfig too, never returning a truncated sum.
+    raises: a tail that has not met its tolerance within _MAX_ITER terms, or
+    whose prefactor overflows, raises InvalidConfig too, never returning a
+    truncated sum.
     """
     if type(x) not in (int, float):
         raise InvalidConfig(f"chi-square statistic must be an int or float, got {type(x).__name__}")
@@ -103,7 +104,10 @@ def chi2_sf(x: float, k: int) -> float:
     lower = half < a + 1.0
     expansion = _lower_gamma_series(a, half) if lower else _upper_gamma_fraction(a, half)
     if not math.isnan(expansion):  # one that did not converge gets no prefactor, which could overflow
-        expansion *= math.exp(a * math.log(half) - half - log_gamma)  # the prefactor, at x/2
+        try:
+            expansion *= math.exp(a * math.log(half) - half - log_gamma)  # the prefactor, at x/2
+        except OverflowError:  # its log rounded past 709 (huge k): report it as not converged
+            expansion = math.nan
     q = 1.0 - expansion if lower else expansion
     if math.isnan(q):
         raise InvalidConfig(f"chi-square tail did not converge for statistic {brief(x)} and df {brief(k)}")

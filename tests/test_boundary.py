@@ -12,7 +12,8 @@ kind of fault, and no module adds another; beside them it holds only
 check_int and ``brief``, which renders a value for a message. The package
 imports a module only when one of its public names is first used, so
 importing a module loads no more than that module needs, and the CLI loads
-nothing outside the standard library.
+nothing outside the standard library. cli.run decides every exit status, so
+no subcommand handler and not ``_report`` returns a value.
 """
 import ast
 import os
@@ -171,6 +172,25 @@ def test_cli_needs_only_the_standard_library():
     """The README promises no dependency beyond the standard library."""
     top_level = {name.partition(".")[0] for name in loaded_after("import codemix.cli", prefix="")}
     assert top_level - sys.stdlib_module_names - {"__main__"} == {"codemix"}  # __main__: the -c program
+
+
+def valued_returns(source: str) -> list[str]:
+    """Each ``return <value>`` in a ``_cmd_*`` function or in ``_report``, as "line: function"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and (node.name.startswith("_cmd_") or node.name == "_report"):
+            found += [f"{r.lineno}: {node.name}" for r in ast.walk(node)
+                      if isinstance(r, ast.Return) and r.value is not None]
+    return found
+
+
+def test_cli_handlers_leave_the_exit_status_to_run():
+    assert valued_returns((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_valued_returns_are_detected():
+    source = "def _cmd_a(x):\n    return 0\ndef _report(x):\n    return\ndef _table(x):\n    return x\n"
+    assert valued_returns(source) == ["2: _cmd_a"]
 
 
 @pytest.mark.parametrize("name", codemix.__all__)

@@ -277,6 +277,16 @@ class TestAllOrNothingOutput:
         assert out.read_bytes() == b"old output\n"
         assert os.listdir(outdir) == ["out"]
 
+    def test_out_in_a_missing_directory_names_the_out_path(self, tmp_path, capsys):
+        src = tmp_path / "c.jsonl"
+        src.write_text('{"id": "a", "text": "abcdef"}\n', encoding="utf-8")
+        out = tmp_path / "missing" / "out.jsonl"
+        assert run(["dedupe", "--input", str(src), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert repr(str(out)) in err[0] and ".out.jsonl." not in err[0]  # not the temporary's name
+        assert os.listdir(tmp_path) == ["c.jsonl"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="no /dev/null")
     def test_dev_null_stays_a_device(self, synth_corpus):
         assert run(["dedupe", "--input", str(synth_corpus), "--out", "/dev/null"]) == 0

@@ -1,9 +1,11 @@
-"""The corpus commands at the benchmark's scale: bulk-eval's seed-1 corpus of 30,000 records.
+"""The commands at the benchmark's scale: bulk-eval's seed-1 corpus of 30,000 records,
+and each workload's seed-1 ``detect``.
 
 bench/inputs.py builds the inputs and bench/run.py's ``Pipeline`` gives each
 command its arguments; both are imported unedited, so every command runs
 here as the benchmark runs it. The sha256 of each output is pinned, so a
-faster corpus path that changes one byte of these outputs fails here.
+faster corpus path that changes one byte of these outputs fails here, and
+so does float drift in scoring on the 8-language inputs.
 """
 import hashlib
 import importlib
@@ -28,20 +30,38 @@ DIGESTS = {
     "baseline": "a164400779193d85caa657deeef711f30fe99edcdbe4beab454c139025936c7a",
 }
 
+#: sha256 of each workload's detect --out file, as CI's traced benchmark step pins it.
+DETECT_DIGESTS = {
+    "sms-2l": "2ff204b1b76c933d8d2c499bb0bb1b525680ed0920ad4b0951bce4f420c70dae",
+    "multi-8l-k12": "e9d82147a8aed248cb68981411008d8e36ba40e53bdd857dcf9034a25f50f81b",
+    "bulk-eval": "d4411bf51bda04bee220e62c15e66d50f6392c242a8fbeca480212c1bf584e0e",
+}
+
 
 @pytest.fixture(scope="module")
-def bench_argvs(tmp_path_factory):
-    """Each corpus command's argument list, as the benchmark builds it for bulk-eval, seed 1."""
+def bench_pipeline(tmp_path_factory):
+    """bench/run.py's ``Pipeline`` for a workload at seed 1, its inputs generated once per module."""
     sys.path.insert(0, str(BENCH))
     try:
         checks, inputs, run = [importlib.import_module(name) for name in ("checks", "inputs", "run")]
     finally:
         sys.path.remove(str(BENCH))
-    work = tmp_path_factory.mktemp("bulk-eval")
-    workload = inputs.WORKLOADS["bulk-eval"]
-    generated = inputs.generate(workload, 1, work)
-    assert generated.sha256["corpus.jsonl"] == CORPUS_SHA256
-    pipeline = run.Pipeline(workload, generated, 1, work, checks.Ledger())
+    pipelines = {}
+
+    def pipeline(name):
+        if name not in pipelines:
+            work = tmp_path_factory.mktemp(name)
+            workload = inputs.WORKLOADS[name]
+            pipelines[name] = run.Pipeline(workload, inputs.generate(workload, 1, work), 1, work, checks.Ledger())
+        return pipelines[name]
+    return pipeline
+
+
+@pytest.fixture(scope="module")
+def bench_argvs(bench_pipeline):
+    """Each corpus command's argument list, as the benchmark builds it for bulk-eval, seed 1."""
+    pipeline = bench_pipeline("bulk-eval")
+    assert pipeline.inp.sha256["corpus.jsonl"] == CORPUS_SHA256
     return {"evaluate": pipeline.evaluate_argv(), **pipeline.tool_argvs()}
 
 
@@ -52,3 +72,12 @@ def test_corpus_command_output_is_pinned(bench_argvs, command):
     assert cli.run(argv) == 0
     out = Path(argv[argv.index("--out") + 1])
     assert hashlib.sha256(out.read_bytes()).hexdigest() == DIGESTS[command]
+
+
+@pytest.mark.parametrize("workload", sorted(DETECT_DIGESTS))
+def test_detect_output_is_pinned(bench_pipeline, workload):
+    pipeline = bench_pipeline(workload)
+    for lang in pipeline.inp.langs:
+        assert cli.run(pipeline.train_argv(lang)) == 0
+    assert cli.run(pipeline.detect_argv(pipeline.inp.detect_input, pipeline.detect_out)) == 0
+    assert hashlib.sha256(pipeline.detect_out.read_bytes()).hexdigest() == DETECT_DIGESTS[workload]

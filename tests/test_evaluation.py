@@ -320,7 +320,9 @@ class TestChi2Sf:
             with pytest.raises(InvalidConfig, match=f"^degrees of freedom are too large, got an int of {k.bit_length()} bits$"):
                 chi2_sf(1.0, k)
         for x, k, shown in ((1e10, 10**10, "10000000000.0 and df 10000000000"),
-                            (1e300, 10**300, "1e+300 and df an int of 997 bits")):
+                            (1e300, 10**300, "1e+300 and df an int of 997 bits"),
+                            # converged, but the log prefactor's terms near 4e20 round past exp's 709
+                            (1.0000000004472136e19, 10**19, "1.0000000004472136e+19 and df 10000000000000000000")):
             with pytest.raises(InvalidConfig, match="^chi-square tail did not converge ") as caught:
                 chi2_sf(x, k)
             assert str(caught.value) == f"chi-square tail did not converge for statistic {shown}"
