@@ -11,13 +11,17 @@ records its commit, Python version and CPU count. With two sides, each
 metric also gets the ratio of the medians (second side over first), how
 many same-seed pairs the second side won, in the direction BENCHMARK.json
 gives, and whether the ratio is within that metric's BENCHMARK.json bound:
-at least 1 - bound where higher is better, at most 1 + bound where lower is;
-and each workload gets ``detect_output_equal``, whether every seed both
-sides ran gave the same ``detect`` output digest on both.
-Each side also holds the median and quartiles of each report's ``raw``
-metrics, the timed metrics computed from unscaled seconds, and with two
-sides ``raw_comparison`` gives their ratios and pairs won, with no bound, so
-a move that only the calibration rescaling makes shows as one.
+at least 1 - bound where higher is better, at most 1 + bound where lower is.
+Each metric also gets the two tests of a claimed move: ``sign_test_p``, the
+exact two-sided binomial p-value of the pairs won against the pairs lost,
+ties dropped, and ``beyond_first_iqr``, whether the medians differ by more
+than the first side's interquartile range (q3 - q1). Each workload gets
+``detect_output_equal``, whether every seed both sides ran gave the same
+``detect`` output digest on both. Each side also holds the median and
+quartiles of each report's ``raw`` metrics, the timed metrics computed from
+unscaled seconds, and with two sides ``raw_comparison`` gives their ratios,
+pairs won and the two tests, with no bound, so a move that only the
+calibration rescaling makes shows as one.
 
 A side whose reports come from more than one commit is refused, and so is
 a report with failed operations or a missing metric, reports of different
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -61,6 +66,12 @@ def spread(values: list[float]) -> dict:
     """Median and quartiles (inclusive method) of ``values``, with their count."""
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
     return {"median": median, "q1": q1, "q3": q3, "n": len(values)}
+
+
+def sign_test_p(won: int, lost: int) -> float:
+    """Exact two-sided binomial p-value of ``won`` pairs against ``lost``, ties already dropped."""
+    n = won + lost
+    return min(1.0, 2 * sum(math.comb(n, i) for i in range(min(won, lost) + 1)) / 2**n)
 
 
 def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
@@ -99,29 +110,27 @@ def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
             first, second = sides
             pairs = [runs for (w, _), runs in sorted(by_run.items()) if w == workload and len(runs) == 2]
 
-            def compare(key: str, metric: str) -> tuple[float | None, int]:
-                """The ratio of medians (second side over first; None when the first is 0) of
-                ``metric`` in the reports' ``key`` ("metrics" or "raw"), and the pairs the second won."""
+            def compare(key: str, metric: str) -> dict:
+                """``metric`` in the reports' ``key`` ("metrics" or "raw"): the ratio of medians (second
+                side over first; None when the first is 0), the pairs the second won and the two tests."""
                 sign = 1 if metrics[metric]["better"] == "higher" else -1
-                won = sum(sign * (runs[second][key][metric] - runs[first][key][metric]) > 0 for runs in pairs)
-                base = entry[first][key][metric]["median"]
-                return (entry[second][key][metric]["median"] / base if base else None), won
+                moves = [sign * (runs[second][key][metric] - runs[first][key][metric]) for runs in pairs]
+                won, lost = sum(m > 0 for m in moves), sum(m < 0 for m in moves)
+                base, other = entry[first][key][metric], entry[second][key][metric]
+                return {"ratio": other["median"] / base["median"] if base["median"] else None,
+                        "pairs_won": won, "pairs": len(pairs), "sign_test_p": sign_test_p(won, lost),
+                        "beyond_first_iqr": abs(other["median"] - base["median"]) > base["q3"] - base["q1"]}
 
             entry["detect_output_equal"] = all(
                 runs[first]["detect_output_sha256"] == runs[second]["detect_output_sha256"] for runs in pairs)
             entry["comparison"] = {}
             for metric, rule in metrics.items():
-                ratio, won = compare("metrics", metric)
+                moved = compare("metrics", metric)
+                ratio = moved["ratio"]
                 within = None if ratio is None else (
                     ratio >= 1 - rule["bound"] if rule["better"] == "higher" else ratio <= 1 + rule["bound"])
-                entry["comparison"][metric] = {
-                    "ratio": ratio, "pairs_won": won, "pairs": len(pairs),
-                    "bound": rule["bound"], "within_bound": within,
-                }
-            entry["raw_comparison"] = {}
-            for metric in raw_metrics:
-                ratio, won = compare("raw", metric)
-                entry["raw_comparison"][metric] = {"ratio": ratio, "pairs_won": won, "pairs": len(pairs)}
+                entry["comparison"][metric] = {**moved, "bound": rule["bound"], "within_bound": within}
+            entry["raw_comparison"] = {metric: compare("raw", metric) for metric in raw_metrics}
         doc["workloads"][workload] = entry
     return doc
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from functools import reduce
-from itertools import islice, repeat
+from functools import cached_property, reduce
+from itertools import islice
 from operator import add, mul
 from pathlib import Path
 from typing import Iterable, NamedTuple
@@ -106,7 +106,9 @@ class LanguageProfile:
     positive finite alpha, and counts mapping each gram (a str of one of the
     orders) to its non-negative int training count. One pass over counts
     derives total_per_order and each order's smoothing denominator, which
-    must leave unseen grams a positive probability. Immutable by convention.
+    must leave unseen grams a positive probability. Immutable by convention:
+    the first score builds ``_table``, each seen gram's log probability, and
+    later scores assume counts has not changed since.
     """
 
     def __init__(self, lang: str, n_min: int, n_max: int, alpha: float, counts: dict[str, int]) -> None:
@@ -132,6 +134,13 @@ class LanguageProfile:
         self.lang, self.n_min, self.n_max, self.alpha, self.counts = lang, n_min, n_max, alpha, counts
         self.total_per_order = totals
         self._log_prob = _LogProbs(alpha, denom)
+        self._unseen = {n: self._log_prob[n, 0] for n in orders}
+
+    @cached_property
+    def _table(self) -> dict[str, float]:
+        """Each seen gram's log probability, read from the (order, count) memo in one C-level pass."""
+        counts = self.counts
+        return dict(zip(counts, map(self._log_prob.__getitem__, zip(map(len, counts), counts.values()))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LanguageProfile):
@@ -194,7 +203,9 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
 
     ``text`` must already be normalized. Its grams are extracted and counted
     once; each profile then adds count * log-prob over the distinct grams in
-    first-occurrence order. Raises EmptyInput when no grams can be extracted.
+    first-occurrence order, one lookup per gram in the profile's table of seen
+    grams, with its order's unseen log-prob as the default. A profile's first
+    score builds that table. Raises EmptyInput when no grams can be extracted.
     """
     grams = extract_ngrams(text, profiles.n_min, profiles.n_max)
     if not grams:
@@ -203,7 +214,7 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
     orders = list(map(len, counted))
     scores = {}
     for lang, p in profiles.profiles.items():
-        log_probs = map(p._log_prob.__getitem__, zip(orders, map(p.counts.get, counted, repeat(0))))
+        log_probs = map(p._table.get, counted, map(p._unseen.__getitem__, orders))
         # reduce, not sum(): sum() compensates float sums from Python 3.12 on, changing bytes
         scores[lang] = reduce(add, map(mul, counted.values(), log_probs), 0.0) / len(grams)
     return scores

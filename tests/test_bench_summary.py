@@ -1,4 +1,4 @@
-"""scripts/bench_summary.py: medians and quartiles per workload and side, and its refusals."""
+"""scripts/bench_summary.py: medians, quartiles and the tests of a move per workload and side, and its refusals."""
 import importlib.util
 import json
 from pathlib import Path
@@ -54,6 +54,7 @@ def test_medians_quartiles_and_pairs(summary, tmp_path):
     assert entry["parent"]["detect_output_sha256"]["3"] == "d3"
     assert entry["parent"]["metrics"]["evaluate_docs_per_s"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
     assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4,
+                                                          "sign_test_p": 0.625, "beyond_first_iqr": False,
                                                           "bound": 0.2, "within_bound": True}
     assert entry["comparison"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
 
@@ -70,8 +71,45 @@ def test_raw_metrics_get_medians_ratios_and_pairs(summary, tmp_path):
     assert entry["parent"]["raw"]["evaluate_docs_per_s"] == {"median": 9.0, "q1": 8.5, "q3": 9.5, "n": 3}
     assert entry["comparison"]["evaluate_docs_per_s"]["ratio"] == 0.9
     assert entry["comparison"]["evaluate_docs_per_s"]["pairs_won"] == 0
-    assert entry["raw_comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 1, "pairs": 3}
-    assert entry["raw_comparison"]["setup_s"] == {"ratio": 1.0, "pairs_won": 0, "pairs": 3}
+    assert entry["raw_comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 1, "pairs": 3,
+                                                              "sign_test_p": 1.0, "beyond_first_iqr": False}
+    assert entry["raw_comparison"]["setup_s"] == {"ratio": 1.0, "pairs_won": 0, "pairs": 3,
+                                                  "sign_test_p": 1.0, "beyond_first_iqr": False}
+
+
+@pytest.mark.parametrize("won, lost, p", [
+    (10, 0, 0.001953125),  # 2 / 2**10
+    (0, 10, 0.001953125),
+    (9, 1, 0.021484375),  # 2 * (1 + 10) / 2**10
+    (5, 5, 1.0),
+    (0, 0, 1.0),
+])
+def test_sign_test_p_is_the_exact_two_sided_binomial(summary, won, lost, p):
+    assert summary.sign_test_p(won, lost) == p
+
+
+def test_a_tie_counts_for_neither_side(summary, tmp_path):
+    """Nine wins and a tie test as 9 of 9 (2 / 2**9), not as 9 of 10."""
+    parent = write(tmp_path / "parent", [report(s, 10.0) for s in range(1, 11)])
+    change = write(tmp_path / "change", [report(s, 10.0 + (s > 1), commit="b" * 40) for s in range(1, 11)])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    comparison = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["comparison"]
+    moved = comparison["evaluate_docs_per_s"]
+    assert (moved["pairs_won"], moved["pairs"], moved["sign_test_p"]) == (9, 10, 0.00390625)
+
+
+@pytest.mark.parametrize("shift, beyond", [(16.0, True), (15.0, False), (-16.0, True)])
+def test_beyond_first_iqr_compares_the_medians_with_the_first_sides_spread(summary, tmp_path, shift, beyond):
+    """The parent's 10, 20, 30, 40 have q3 - q1 = 15; the change moves every run by ``shift``."""
+    values = [10.0, 20.0, 30.0, 40.0]
+    parent = write(tmp_path / "parent", [report(s, v) for s, v in enumerate(values, 1)])
+    change = write(tmp_path / "change", [report(s, v + shift, commit="b" * 40) for s, v in enumerate(values, 1)])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    comparison = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["comparison"]
+    moved = comparison["evaluate_docs_per_s"]
+    assert moved["beyond_first_iqr"] is beyond
 
 
 @pytest.mark.parametrize("change_detect, equal", [("", True), ("x", False)])

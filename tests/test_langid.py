@@ -231,11 +231,17 @@ class TestScore:
                 score_by_loops(text, profile), abs=1e-12
             )
 
-    def test_log_prob_memo_is_bounded_by_the_profile(self, synthetic_languages, overlapping_languages):
-        # a gram's log-prob is memoised by (order, training count), so no
-        # amount of scored text grows the memo past what the profile holds
+    def test_log_prob_memo_is_bounded_by_the_profile(self, synthetic_languages, overlapping_languages, tmp_path):
+        # a gram's log-prob is memoised by (order, training count) and each
+        # profile's table holds its seen grams, so no amount of scored text
+        # grows either past what the profile holds; the table is built on the
+        # profile's first score, so train and load_profile pay nothing for it
         sources = {"xa": synthetic_languages["xa"], "xb": overlapping_languages["xb"]}
         profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
+        for p in profiles.profiles.values():
+            save_profile(p, tmp_path / f"{p.lang}.profile")
+            assert "_table" not in vars(p)
+            assert "_table" not in vars(load_profile(tmp_path / f"{p.lang}.profile"))
         words = [word for pool, _ in sources.values() for word in pool]
         rng = random.Random(2030)
         scored = 0
@@ -253,6 +259,8 @@ class TestScore:
             unseen = {(n, 0) for n in range(p.n_min, p.n_max + 1)}
             assert set(p._log_prob) <= pairs | unseen
             assert len(p._log_prob) <= len(pairs) + len(unseen)
+            assert p._table.keys() == p.counts.keys()
+            assert all(p._table[gram] == p._log_prob[len(gram), c] for gram, c in p.counts.items())
 
     def test_threads_filling_shared_memos_agree(self, overlapping_languages):
         # the memos fill under contention; each entry is a pure function of
@@ -264,6 +272,8 @@ class TestScore:
         alone = fresh()
         expected = [score(text, alone) for text in texts]
         shared = fresh()
+        # the tables are built under contention too: cached_property locks up to 3.11, not from 3.12 on
+        assert not any("_table" in vars(p) for p in shared.profiles.values())
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
