@@ -15,13 +15,15 @@ at least 1 - bound where higher is better, at most 1 + bound where lower is.
 Each metric also gets the two tests of a claimed move: ``sign_test_p``, the
 exact two-sided binomial p-value of the pairs won against the pairs lost,
 ties dropped, and ``beyond_first_iqr``, whether the medians differ by more
-than the first side's interquartile range (q3 - q1). Each workload gets
+than the first side's interquartile range (q3 - q1). ``median_pair_ratio``
+is the median, over the seeds both sides ran, of the second side's value
+over the first's (None when a first-side value is 0). Each workload gets
 ``detect_output_equal``, whether every seed both sides ran gave the same
 ``detect`` output digest on both. Each side also holds the median and
 quartiles of each report's ``raw`` metrics, the timed metrics computed from
 unscaled seconds, and with two sides ``raw_comparison`` gives their ratios,
-pairs won and the two tests, with no bound, so a move that only the
-calibration rescaling makes shows as one.
+pairs won, median pair ratio and the two tests, with no bound, so a move
+that only the calibration rescaling makes shows as one.
 
 A side whose reports come from more than one commit is refused, and so is
 a report with failed operations or a missing metric, reports of different
@@ -112,14 +114,18 @@ def summarize(sides: dict[str, list[dict]], metrics: dict[str, dict]) -> dict:
 
             def compare(key: str, metric: str) -> dict:
                 """``metric`` in the reports' ``key`` ("metrics" or "raw"): the ratio of medians (second
-                side over first; None when the first is 0), the pairs the second won and the two tests."""
+                side over first; None when the first is 0), the pairs the second won, the median of the
+                pairs' ratios (None when a first value is 0) and the two tests."""
                 sign = 1 if metrics[metric]["better"] == "higher" else -1
-                moves = [sign * (runs[second][key][metric] - runs[first][key][metric]) for runs in pairs]
+                values = [(runs[first][key][metric], runs[second][key][metric]) for runs in pairs]
+                moves = [sign * (b - a) for a, b in values]
                 won, lost = sum(m > 0 for m in moves), sum(m < 0 for m in moves)
                 base, other = entry[first][key][metric], entry[second][key][metric]
                 return {"ratio": other["median"] / base["median"] if base["median"] else None,
                         "pairs_won": won, "pairs": len(pairs), "sign_test_p": sign_test_p(won, lost),
-                        "beyond_first_iqr": abs(other["median"] - base["median"]) > base["q3"] - base["q1"]}
+                        "beyond_first_iqr": abs(other["median"] - base["median"]) > base["q3"] - base["q1"],
+                        "median_pair_ratio": statistics.median(b / a for a, b in values)
+                        if values and all(a for a, _ in values) else None}
 
             entry["detect_output_equal"] = all(
                 runs[first]["detect_output_sha256"] == runs[second]["detect_output_sha256"] for runs in pairs)

@@ -110,10 +110,7 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
     record = corpus.document_record(doc)
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
-    record["chunks"] = [
-        {"index": i, "text": c.text, **c.prediction._asdict(), "reliable": c.reliable}
-        for i, c in enumerate(result.chunks)
-    ]
+    record["chunks"] = result.chunk_records()
     return record
 
 

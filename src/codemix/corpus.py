@@ -15,7 +15,7 @@ from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, Sequence
 
 from . import fileio, textnorm
 from .errors import EmptyInput, InvalidConfig, ParseError, brief, check_int
-from .tags import OTHER_CLASS, LanguageTag, check_code, tally_classes
+from .tags import OTHER_CLASS, TAG_TABLE_SIZE, LanguageTag, check_code, tally_classes
 
 TagPredicate = Callable[[LanguageTag | None], bool]
 
@@ -28,9 +28,6 @@ class Document(NamedTuple):
     gold_tag: LanguageTag | None = None
     pred_tag: LanguageTag | None = None
 
-
-#: Distinct tag strings kept by one ``iter_load`` call; more are parsed each time they appear.
-_TAG_TABLE_SIZE = 1024
 
 #: Builds a Document from a 4-tuple in C; the generated ``Document.__new__`` is Python code.
 _document = functools.partial(tuple.__new__, Document)
@@ -49,7 +46,7 @@ def _parse_tag(tags: dict, value: object, field: str | None, line: int) -> Langu
         tag = LanguageTag.parse(text) if text else None
     except InvalidConfig as exc:
         raise ParseError(str(exc), line) from exc
-    if len(tags) < _TAG_TABLE_SIZE:
+    if len(tags) < TAG_TABLE_SIZE:  # distinct tag strings past it are parsed each time
         tags[value] = tag
     return tag
 
@@ -90,29 +87,30 @@ def iter_load(
     with fileio.open_text(source) as fh:
         for line, record in enumerate(fh, 1) if jsonl else _csv_records(fh, text_field, id_field):
             if jsonl:  # record is still the line's text
-                if not record.strip():
-                    continue
                 try:
                     record = fileio.loads(record)
                 except ValueError as exc:
+                    if not record.strip():  # a blank line, checked only once the parse fails
+                        continue
                     raise ParseError(f"invalid JSON: {getattr(exc, 'msg', exc)}", line) from exc
-                if not isinstance(record, dict):
+                if type(record) is not dict:
                     raise ParseError("record is not a JSON object", line)
 
             text = record.get(text_field)
-            if text is None:
-                raise ParseError(f"record has no {text_field!r} field", line)
-            if not isinstance(text, str):
+            if type(text) is not str:
+                if text is None:
+                    raise ParseError(f"record has no {text_field!r} field", line)
                 raise ParseError(f"field {text_field!r} is not a string", line)
 
-            value = record.get(key)
-            if value in (None, ""):
-                if id_field is not None:
-                    raise ParseError(f"record has no {key!r} field", line)
-                value = len(seen)  # the record's index: each record before it added one id
-            elif type(value) not in (str, int):  # bool and float ids are errors too
-                raise ParseError(f"field {key!r} is not a string or an integer", line)
-            doc_id = str(value)
+            doc_id = record.get(key)
+            if type(doc_id) is not str or not doc_id:  # a non-empty str id is used as it is
+                if doc_id is None or doc_id == "":
+                    if id_field is not None:
+                        raise ParseError(f"record has no {key!r} field", line)
+                    doc_id = len(seen)  # the record's index: each record before it added one id
+                elif type(doc_id) not in (str, int):  # bool and float ids are errors too
+                    raise ParseError(f"field {key!r} is not a string or an integer", line)
+                doc_id = str(doc_id)
             if doc_id in seen:
                 raise ParseError(f"duplicate document id {doc_id!r}", line)
             seen.add(doc_id)

@@ -7,12 +7,13 @@ the tag means the document code-switches.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import langid, textnorm
 from .errors import EmptyInput, check_int
 from .langid import Prediction, ProfileSet
-from .tags import UND, UND_TAG, LanguageTag
+from .tags import TAG_TABLE_SIZE, UND, UND_TAG, LanguageTag
 
 if TYPE_CHECKING:
     from .corpus import Document
@@ -44,6 +45,29 @@ class DetectionResult(NamedTuple):
         """Whether the tag holds two or more languages."""
         return self.tag.is_multilingual
 
+    def chunk_records(self) -> list[dict]:
+        """Each chunk as a flat dict: index, text, the prediction's fields and ``reliable``.
+
+        The fields are unpacked in place of ``_asdict()`` and the ``reliable``
+        property, whose Python frames cost more per chunk than the dict, so
+        ``reliable`` here applies ``ChunkResult.reliable``'s rule to ``lang``.
+        """
+        return [
+            {"index": i, "text": text, "lang": lang, "avg_log_likelihood": ll, "confidence": confidence,
+             "reliable": lang != UND}
+            for i, (text, (lang, ll, confidence)) in enumerate(self.chunks)
+        ]
+
+
+#: Build each record from a tuple in C; a NamedTuple's generated ``__new__`` is Python code.
+_chunk_result = partial(tuple.__new__, ChunkResult)
+_detection_result = partial(tuple.__new__, DetectionResult)
+
+#: Each first-occurrence sequence of distinct chunk labels -> its tag, up to TAG_TABLE_SIZE entries.
+_tags: dict[tuple[str, ...], LanguageTag] = {}
+#: The only label type ``aggregate``'s table is read or filled for.
+_STR_ONLY = frozenset((str,))
+
 
 def check_chunks(k: int) -> None:
     """Raise InvalidConfig unless ``k`` is a chunk count: an integer of at least 1."""
@@ -74,12 +98,23 @@ def aggregate(chunk_langs: Sequence[str]) -> LanguageTag:
     """Collapse per-chunk labels into a document tag.
 
     Distinct non-"und" codes in first-occurrence order; all-unreliable
-    input collapses to the lone "und" tag.
+    input collapses to the lone "und" tag. For a list of labels that are
+    each exactly a str, as ``detect`` passes, the tags of the first
+    ``TAG_TABLE_SIZE`` distinct label sequences are kept and returned again.
     """
     if not chunk_langs:
         raise EmptyInput("no chunk labels to aggregate")
-    langs = [code for code in chunk_langs if code != UND]
-    return LanguageTag(langs) if langs else UND_TAG
+    if type(chunk_langs) is list and _STR_ONLY.issuperset(map(type, chunk_langs)):
+        key = tuple(dict.fromkeys(chunk_langs))
+    else:  # a str subclass or another type must meet LanguageTag's check; an iterator is read once
+        key = None
+    tag = _tags.get(key)
+    if tag is None:
+        langs = [code for code in chunk_langs if code != UND]
+        tag = LanguageTag(langs) if langs else UND_TAG
+        if key is not None and len(_tags) < TAG_TABLE_SIZE:
+            _tags[key] = tag
+    return tag
 
 
 def detect(
@@ -100,15 +135,15 @@ def detect(
     normalized = textnorm.normalize(doc.text)
     tokens = textnorm.tokenize(normalized)
     if not tokens:
-        return DetectionResult(doc_id=doc.id, chunks=(), tag=UND_TAG)
+        return _detection_result((doc.id, (), UND_TAG))
 
-    chunk_results = []
-    for chunk_tokens in split_chunks(tokens, k):
-        chunk_text = " ".join(chunk_tokens)
-        top = langid.identify(chunk_text, profiles, min_chars)[0]
-        chunk_results.append(ChunkResult(text=chunk_text, prediction=top))
-    tag = aggregate([c.prediction.lang for c in chunk_results])
-    return DetectionResult(doc_id=doc.id, chunks=tuple(chunk_results), tag=tag)
+    texts = list(map(" ".join, split_chunks(tokens, k)))
+    tops = [langid.identify(text, profiles, min_chars)[0] for text in texts]
+    tag = aggregate([top.lang for top in tops])
+    # a list first: tuple() of a map allocates spare slots and shrinks, stranding
+    # each shrunk block in CPython's free list of tuples of its new size
+    chunks = tuple(list(map(_chunk_result, zip(texts, tops))))
+    return _detection_result((doc.id, chunks, tag))
 
 
 def detect_all(

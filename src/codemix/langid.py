@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
-from functools import cached_property, reduce
-from itertools import islice
-from operator import add, mul
+from collections import Counter, _count_elements
+from functools import cached_property, partial, reduce
+from itertools import islice, repeat
+from operator import add, itemgetter, mul, sub, truediv
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -87,7 +87,8 @@ class _LogProbs(dict):
     """log((count + alpha) / denom[order]) per (order, count), stored on first use.
 
     A gram's smoothed log probability depends only on its order and training
-    count, so the memo is bounded by the profile, not by the text scored.
+    count, so the memo is bounded by the profile, not by the text scored. A
+    profile holds one only while it builds its table.
     """
 
     def __init__(self, alpha: float, denom: dict[int, float]) -> None:
@@ -132,15 +133,14 @@ class LanguageProfile:
         if not min(alpha / d for d in denom.values()) > 0:
             raise InvalidConfig(f"alpha {alpha!r} leaves unseen grams no probability")
         self.lang, self.n_min, self.n_max, self.alpha, self.counts = lang, n_min, n_max, alpha, counts
-        self.total_per_order = totals
-        self._log_prob = _LogProbs(alpha, denom)
-        self._unseen = {n: self._log_prob[n, 0] for n in orders}
+        self.total_per_order, self._denom = totals, denom
+        self._unseen = {n: math.log((0 + alpha) / denom[n]) for n in orders}  # _LogProbs' value, bit for bit
 
     @cached_property
     def _table(self) -> dict[str, float]:
-        """Each seen gram's log probability, read from the (order, count) memo in one C-level pass."""
-        counts = self.counts
-        return dict(zip(counts, map(self._log_prob.__getitem__, zip(map(len, counts), counts.values()))))
+        """Each seen gram's log probability, read from an (order, count) memo in one C-level pass."""
+        counts, log_prob = self.counts, _LogProbs(self.alpha, self._denom)
+        return dict(zip(counts, map(log_prob.__getitem__, zip(map(len, counts), counts.values()))))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LanguageProfile):
@@ -156,6 +156,11 @@ class Prediction(NamedTuple):
     lang: str
     avg_log_likelihood: float
     confidence: float
+
+
+#: Builds a Prediction from a 3-tuple in C; the generated ``Prediction.__new__`` is Python code.
+_prediction = partial(tuple.__new__, Prediction)
+_LANG, _AVG_LOG_LIKELIHOOD = itemgetter(0), itemgetter(1)  # Prediction's fields, read in C
 
 
 class ProfileSet:
@@ -210,7 +215,8 @@ def score(text: str, profiles: ProfileSet) -> dict[str, float]:
     grams = extract_ngrams(text, profiles.n_min, profiles.n_max)
     if not grams:
         raise EmptyInput("text yields no n-grams to score")
-    counted = Counter(grams)
+    counted: dict[str, int] = {}
+    _count_elements(counted, grams)  # Counter.update's C loop, without its Python frames
     orders = list(map(len, counted))
     scores = {}
     for lang, p in profiles.profiles.items():
@@ -247,11 +253,13 @@ def identify(
         return [Prediction(UND, 0.0, 1.0)]
 
     scored = score(normalized, profiles)
-    peak = max(scored.values())
-    weights = [(lang, s, math.exp(s - peak)) for lang, s in scored.items()]
-    denom = reduce(add, (w for _, _, w in weights), 0.0)
-    predictions = [Prediction(lang, s, w / denom) for lang, s, w in weights]
-    predictions.sort(key=lambda p: (-p.avg_log_likelihood, p.lang))
+    likelihoods = scored.values()
+    weights = list(map(math.exp, map(sub, likelihoods, repeat(max(likelihoods)))))
+    denom = reduce(add, weights, 0.0)
+    predictions = list(map(_prediction, zip(scored, likelihoods, map(truediv, weights, repeat(denom)))))
+    # two stable sorts rank by likelihood descending, ties by code ascending
+    predictions.sort(key=_LANG)
+    predictions.sort(key=_AVG_LOG_LIKELIHOOD, reverse=True)
     return predictions
 
 

@@ -22,6 +22,9 @@ LANG_CODE_RE = re.compile(r"^[a-z]{2,8}\Z")
 #: The bucket class of a class scheme, for every label outside it.
 OTHER_CLASS = "other"
 
+#: Keys each table of tags keeps: corpus's tag strings per load, detector's chunk-label sequences.
+TAG_TABLE_SIZE = 1024
+
 
 def check_code(code: object) -> None:
     """Raise InvalidConfig unless ``code`` is a language code other than "und"."""

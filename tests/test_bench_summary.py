@@ -55,6 +55,7 @@ def test_medians_quartiles_and_pairs(summary, tmp_path):
     assert entry["parent"]["metrics"]["evaluate_docs_per_s"] == {"median": 25.0, "q1": 17.5, "q3": 32.5, "n": 4}
     assert entry["comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 3, "pairs": 4,
                                                           "sign_test_p": 0.625, "beyond_first_iqr": False,
+                                                          "median_pair_ratio": 1.1875,  # (1.125 + 1.25) / 2
                                                           "bound": 0.2, "within_bound": True}
     assert entry["comparison"]["setup_s"]["pairs_won"] == 0  # ties count for neither side
 
@@ -72,9 +73,11 @@ def test_raw_metrics_get_medians_ratios_and_pairs(summary, tmp_path):
     assert entry["comparison"]["evaluate_docs_per_s"]["ratio"] == 0.9
     assert entry["comparison"]["evaluate_docs_per_s"]["pairs_won"] == 0
     assert entry["raw_comparison"]["evaluate_docs_per_s"] == {"ratio": 1.0, "pairs_won": 1, "pairs": 3,
-                                                              "sign_test_p": 1.0, "beyond_first_iqr": False}
+                                                              "sign_test_p": 1.0, "beyond_first_iqr": False,
+                                                              "median_pair_ratio": 1.0}
     assert entry["raw_comparison"]["setup_s"] == {"ratio": 1.0, "pairs_won": 0, "pairs": 3,
-                                                  "sign_test_p": 1.0, "beyond_first_iqr": False}
+                                                  "sign_test_p": 1.0, "beyond_first_iqr": False,
+                                                  "median_pair_ratio": 1.0}
 
 
 @pytest.mark.parametrize("won, lost, p", [
@@ -110,6 +113,29 @@ def test_beyond_first_iqr_compares_the_medians_with_the_first_sides_spread(summa
     comparison = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["comparison"]
     moved = comparison["evaluate_docs_per_s"]
     assert moved["beyond_first_iqr"] is beyond
+
+
+def test_median_pair_ratio_pairs_each_seed_both_sides_ran(summary, tmp_path):
+    """Seeds 1-3 pair up as 12/10, 18/20 and 60/40, so the median pair ratio is 1.2; seed 4 ran
+    on the parent side only and pairs with nothing. The ratio of the medians is 18/30 = 0.6."""
+    parent = write(tmp_path / "parent", [report(s, v) for s, v in [(1, 10.0), (2, 20.0), (3, 40.0), (4, 100.0)]])
+    change = write(tmp_path / "change", [report(s, v, commit="b" * 40, raw=2.0)
+                                         for s, v in [(1, 12.0), (2, 18.0), (3, 60.0)]])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    entry = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]
+    moved = entry["comparison"]["evaluate_docs_per_s"]
+    assert (moved["ratio"], moved["median_pair_ratio"], moved["pairs"]) == (0.6, 1.2, 3)
+    assert entry["raw_comparison"]["evaluate_docs_per_s"]["median_pair_ratio"] == 2.0
+
+
+def test_median_pair_ratio_is_none_when_a_first_value_is_0(summary, tmp_path):
+    parent = write(tmp_path / "parent", [report(1, 0.0), report(2, 10.0)])
+    change = write(tmp_path / "change", [report(s, 10.0, commit="b" * 40) for s in (1, 2)])
+    out = tmp_path / "BENCH.json"
+    assert summary.main([f"parent={parent}", f"change={change}", "--out", str(out)]) == 0
+    moved = json.loads(out.read_text(encoding="utf-8"))["workloads"]["bulk-eval"]["comparison"]["evaluate_docs_per_s"]
+    assert (moved["ratio"], moved["median_pair_ratio"]) == (2.0, None)
 
 
 @pytest.mark.parametrize("change_detect, equal", [("", True), ("x", False)])

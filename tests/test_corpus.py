@@ -42,6 +42,16 @@ class TestLoadJsonl:
         docs = load(io.StringIO('{"text": "a"}\n\n{"text": "b"}\n'))
         assert [d.text for d in docs] == ["a", "b"]
 
+    @pytest.mark.parametrize("space", ["\x0b", "\x0c", "\u00a0", "\u2028", " \t\r"])
+    def test_lines_that_strip_empties_are_blank_though_json_rejects_them(self, space):
+        # the blank check runs only once the parse fails; a skipped line is no
+        # record, but it still counts in a later error's line number
+        lines = ['{"text": "a"}', space, '{"text": "b"}', space]
+        docs = load(io.StringIO("\n".join(lines) + "\n"))
+        assert [(d.id, d.text) for d in docs] == [("0", "a"), ("1", "b")]
+        with pytest.raises(ParseError, match="^line 5: field 'text' is not a string$"):
+            load(io.StringIO("\n".join([*lines, '{"text": 1}']) + "\n"))
+
     def test_missing_ids_use_record_index(self):
         docs = load(jsonl({"text": "a"}, {"text": "b"}))
         assert [d.id for d in docs] == ["0", "1"]

@@ -2,10 +2,11 @@ import random
 
 import pytest
 
-from codemix import textnorm
+from codemix import detector, textnorm
 from codemix.corpus import Document
 from codemix.detector import ChunkResult, DetectionResult, aggregate, detect, detect_all, split_chunks
 from codemix.errors import EmptyInput, InvalidConfig
+from codemix.langid import Prediction
 from codemix.tags import UND_TAG, LanguageTag
 
 
@@ -105,6 +106,48 @@ class TestAggregate:
         with pytest.raises(EmptyInput, match="^no chunk labels to aggregate$"):
             aggregate([])
 
+    def test_tag_table_is_bounded_and_keeps_tags_right(self, monkeypatch):
+        monkeypatch.setattr(detector, "_tags", {})
+        monkeypatch.setattr(detector, "TAG_TABLE_SIZE", 3)
+        codes = ["en", "zu", "xh", "und"]
+        sequences = [[a, b, a, c] for a in codes for b in codes for c in codes]
+        for _ in range(2):  # the second round reads the kept tags
+            for labels in sequences:
+                langs = [code for code in labels if code != "und"]
+                expected = LanguageTag(langs) if langs else UND_TAG
+                assert aggregate(labels) == expected
+                assert aggregate(labels).render() == expected.render()
+                assert len(detector._tags) <= 3
+        assert len(detector._tags) == 3
+        with pytest.raises(InvalidConfig, match="2-8 lowercase ASCII letters"):
+            aggregate(["en", "EN"])
+        monkeypatch.setattr(detector, "_tags", {})
+        with pytest.raises(InvalidConfig, match="2-8 lowercase ASCII letters"):
+            aggregate(["en", "zu", 5])
+        with pytest.raises(InvalidConfig, match="2-8 lowercase ASCII letters"):
+            aggregate([["en"]])
+        assert detector._tags == {}
+
+    def test_tag_table_is_read_only_for_a_list_of_exact_strs(self, monkeypatch):
+        # a str subclass that hashes and compares like a kept code still meets
+        # LanguageTag's type check once the table is warm, and any other
+        # iterable is read as it was: once, without the table
+        class Code(str):
+            pass
+
+        monkeypatch.setattr(detector, "_tags", {})
+        for _ in range(2):
+            with pytest.raises(InvalidConfig, match="2-8 lowercase ASCII letters, got 'en'"):
+                aggregate([Code("en")])
+            assert aggregate(["en", "zu", "en"]).langs == ("en", "zu")
+            assert aggregate([Code("und")]) is UND_TAG
+        assert list(detector._tags) == [("en", "zu")]
+        with pytest.raises(InvalidConfig, match="2-8 lowercase ASCII letters, got 'en'"):
+            aggregate(["zu", Code("en")])
+        assert aggregate(("en", "zu")).langs == ("en", "zu")
+        assert aggregate(iter(["zu", "und", "en"])).langs == ("zu", "en")
+        assert list(detector._tags) == [("en", "zu")]
+
 
 ARGUMENT_TEXTS = ["abc abd", "12345 !!!", ""]  # scored, normalizing to empty, empty
 
@@ -145,6 +188,31 @@ class TestDetect:
         assert result.tag == UND_TAG
         assert result.chunks == ()
         assert not result.code_switched
+
+    def test_results_are_exact_named_tuples(self, trained_profiles, synthetic_languages):
+        pool_a, _ = synthetic_languages["xa"]
+        chunked = detect(Document(id="d", text=" ".join(pool_a[:6])), trained_profiles)
+        empty = detect(Document(id="e", text="12345 !!!"), trained_profiles)
+        assert len(chunked.chunks) == 4 and empty.chunks == ()
+        for result in (chunked, empty):
+            assert type(result) is DetectionResult
+            assert result._asdict() == {"doc_id": result.doc_id, "chunks": result.chunks, "tag": result.tag}
+            for chunk in result.chunks:
+                assert type(chunk) is ChunkResult and type(chunk.prediction) is Prediction
+                assert chunk._asdict() == {"text": chunk.text, "prediction": chunk.prediction}
+
+    def test_chunk_records_hold_each_chunks_fields_and_reliability(self, trained_profiles, synthetic_languages):
+        pool_a, _ = synthetic_languages["xa"]
+        texts = [" ".join(pool_a[:6]), "x " + " ".join(pool_a[:3]), "12345 !!!"]  # 4 one-token chunks, "x" too short
+        results = [detect(Document(id=str(i), text=text), trained_profiles) for i, text in enumerate(texts)]
+        reliabilities = {c.reliable for r in results for c in r.chunks}
+        assert reliabilities == {True, False}  # scored chunks and "und" ones
+        for result in results:
+            expected = [{"index": i, "text": c.text, **c.prediction._asdict(), "reliable": c.reliable}
+                        for i, c in enumerate(result.chunks)]
+            records = result.chunk_records()
+            assert records == expected
+            assert [list(r) for r in records] == [list(r) for r in expected]
 
     def test_code_switched_is_read_from_the_tag(self, trained_profiles):
         assert DetectionResult._fields == ("doc_id", "chunks", "tag")

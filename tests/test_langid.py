@@ -1,4 +1,5 @@
 import copy
+import gc
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from codemix import langid
 from codemix.errors import EmptyInput, InvalidConfig, ParseError
 from codemix.langid import (
     LanguageProfile,
+    Prediction,
     ProfileSet,
     extract_ngrams,
     identify,
@@ -232,10 +234,10 @@ class TestScore:
             )
 
     def test_log_prob_memo_is_bounded_by_the_profile(self, synthetic_languages, overlapping_languages, tmp_path):
-        # a gram's log-prob is memoised by (order, training count) and each
-        # profile's table holds its seen grams, so no amount of scored text
-        # grows either past what the profile holds; the table is built on the
-        # profile's first score, so train and load_profile pay nothing for it
+        # each profile's table holds its seen grams, so no amount of scored
+        # text grows it past what the profile holds; the table is built on the
+        # profile's first score, so train and load_profile pay nothing for it,
+        # and the (order, training count) memo it is built from is dropped after
         sources = {"xa": synthetic_languages["xa"], "xb": overlapping_languages["xb"]}
         profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
         for p in profiles.profiles.values():
@@ -255,12 +257,12 @@ class TestScore:
                 scored += 1
         assert scored >= 1500
         for p in profiles.profiles.values():
-            pairs = {(len(gram), c) for gram, c in p.counts.items()}
-            unseen = {(n, 0) for n in range(p.n_min, p.n_max + 1)}
-            assert set(p._log_prob) <= pairs | unseen
-            assert len(p._log_prob) <= len(pairs) + len(unseen)
             assert p._table.keys() == p.counts.keys()
-            assert all(p._table[gram] == p._log_prob[len(gram), c] for gram, c in p.counts.items())
+            assert all(p._table[gram].hex() == math.log((c + p.alpha) / p._denom[len(gram)]).hex()
+                       for gram, c in p.counts.items())
+            assert all(p._unseen[n].hex() == math.log((0 + p.alpha) / p._denom[n]).hex()
+                       for n in range(p.n_min, p.n_max + 1))
+        assert not [memo for memo in gc.get_objects() if isinstance(memo, langid._LogProbs)]
 
     def test_threads_filling_shared_memos_agree(self, overlapping_languages):
         # the memos fill under contention; each entry is a pure function of
@@ -334,6 +336,34 @@ class TestIdentify:
         predictions = identify("shared corpus", ProfileSet({"xx": profile, "ww": twin}))
         assert [p.lang for p in predictions] == ["ww", "xx"]
         assert predictions[0].confidence == pytest.approx(0.5, abs=1e-12)
+
+    def test_four_twins_in_shuffled_order_rank_by_code(self):
+        profile = train(["shared corpus text"], "xx")
+        codes = ["wb", "wa", "wd", "wc"]
+        twins = {code: LanguageProfile(code, profile.n_min, profile.n_max, profile.alpha, dict(profile.counts))
+                 for code in codes}
+        predictions = identify("shared corpus", ProfileSet(twins))
+        assert [p.lang for p in predictions] == sorted(codes)
+        assert len({(p.avg_log_likelihood, p.confidence) for p in predictions}) == 1
+        assert predictions[0].confidence == 0.25
+
+    def test_predictions_are_exact_prediction_tuples(self, trained_profiles):
+        for text in ("abc abd", "ab"):  # scored, and the reserved "und"
+            for p in identify(text, trained_profiles):
+                assert type(p) is Prediction
+                assert (p.lang, p.avg_log_likelihood, p.confidence) == tuple(p)
+                assert p._asdict() == dict(zip(Prediction._fields, p))
+
+    def test_ranking_is_sorted_by_likelihood_then_code(self, synthetic_languages, overlapping_languages):
+        sources = {"xa": synthetic_languages["xa"], "xb": synthetic_languages["xb"],
+                   "xc": overlapping_languages["xa"], "xd": overlapping_languages["xb"]}
+        profiles = ProfileSet({lang: train(lines, lang) for lang, (_, lines) in sources.items()})
+        words = [word for pool, _ in sources.values() for word in pool]
+        rng = random.Random(2037)
+        for _ in range(200):
+            text = " ".join(rng.choice(words) for _ in range(rng.randint(1, 4)))
+            predictions = identify(text, profiles)
+            assert predictions == sorted(predictions, key=lambda p: (-p.avg_log_likelihood, p.lang))
 
     def test_confidences_sum_to_one(self, trained_profiles, synthetic_languages):
         rng = random.Random(5)
