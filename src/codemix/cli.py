@@ -9,16 +9,24 @@ seeds) produces byte-identical machine output.
 
 ``run`` decides every exit status: 0 once a handler returns, 1 on an
 operational error (bad input or file), 2 on a usage error (bad flags).
+
+At module level the CLI imports only what ``build_parser`` reads for its
+defaults; each handler imports the modules it runs, so a ``train`` child
+never compiles the corpus, evaluation or synth layers.
 """
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import corpus, detector, evaluation, langid, synth, tags
+from . import detector, langid
 from .errors import CodemixError, ParseError
 from .fileio import dumps, open_text, write_jsonl
+
+if TYPE_CHECKING:
+    from .corpus import Document
+    from .tags import LanguageTag
 
 SEED_DEFAULT = 0
 
@@ -72,9 +80,12 @@ def _lines(path: str) -> Iterator[str]:
 
 
 def _read_corpus(
-    args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None, reader=corpus.iter_load
-) -> Iterable[corpus.Document]:
-    return reader(
+    args: argparse.Namespace, tag_field: str | None, pred_field: str | None = None, reader=None
+) -> Iterable[Document]:
+    """The --input corpus, read by ``reader`` (by default ``corpus.iter_load``)."""
+    from . import corpus
+
+    return (reader or corpus.iter_load)(
         args.input,
         format=args.input_format,
         text_field=args.text_field,
@@ -106,8 +117,8 @@ def _cmd_identify(args: argparse.Namespace) -> None:
                 out.write(f"{i}\t{predictions[0].lang}\t{ranking}\n")
 
 
-def _detection_record(doc: corpus.Document, result: detector.DetectionResult) -> dict:
-    record = corpus.document_record(doc)
+def _detection_record(record: dict, result: detector.DetectionResult) -> dict:
+    """``record``, a document's own fields, with ``result`` added."""
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
     record["chunks"] = result.chunk_records()
@@ -115,20 +126,27 @@ def _detection_record(doc: corpus.Document, result: detector.DetectionResult) ->
 
 
 def _cmd_detect(args: argparse.Namespace) -> None:
+    from . import corpus
+
     detector.check_chunks(args.chunks)  # before any document, so even an empty corpus fails
     profiles = langid.load_profile_set(args.profiles)
     records = (
-        _detection_record(doc, detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars))
+        _detection_record(corpus.document_record(doc),
+                          detector.detect(doc, profiles, k=args.chunks, min_chars=args.min_chars))
         for doc in _read_corpus(args, args.tag_field)
     )
     write_jsonl(records, args.out)
 
 
 def _cmd_dedupe(args: argparse.Namespace) -> None:
+    from . import corpus
+
     corpus.save_jsonl(corpus.dedupe(_read_corpus(args, args.tag_field)), args.out)
 
 
 def _cmd_sample(args: argparse.Namespace) -> None:
+    from . import corpus
+
     docs = _read_corpus(args, None, args.tag_field, corpus.load)
     stratum = None
     if args.stratum is not None:
@@ -138,7 +156,7 @@ def _cmd_sample(args: argparse.Namespace) -> None:
     corpus.save_jsonl(corpus.sample(docs, args.n, args.seed, stratum), args.out)
 
 
-def _tag_of(doc: corpus.Document, tag: tags.LanguageTag | None, field: str) -> tags.LanguageTag:
+def _tag_of(doc: Document, tag: LanguageTag | None, field: str) -> LanguageTag:
     """``tag``, the document's gold or predicted tag, read from ``field``."""
     if tag is None:
         raise ParseError(f"document {doc.id!r} has no {field!r} tag")
@@ -146,6 +164,8 @@ def _tag_of(doc: corpus.Document, tag: tags.LanguageTag | None, field: str) -> t
 
 
 def _cmd_distribution(args: argparse.Namespace) -> None:
+    from . import corpus
+
     tags = (_tag_of(doc, doc.gold_tag, args.tag_field) for doc in _read_corpus(args, args.tag_field))
     counts = corpus.label_distribution(tags, classes=args.classes)
     total = sum(counts.values())
@@ -158,6 +178,8 @@ def _cmd_distribution(args: argparse.Namespace) -> None:
 
 
 def _cmd_evaluate(args: argparse.Namespace) -> None:
+    from . import evaluation
+
     gold, pred = [], []
     for doc in _read_corpus(args, args.gold_field, args.pred_field):
         gold.append(_tag_of(doc, doc.gold_tag, args.gold_field))
@@ -200,6 +222,8 @@ def _cmd_evaluate(args: argparse.Namespace) -> None:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> None:
+    from . import evaluation
+
     gold = (_tag_of(doc, doc.gold_tag, args.tag_field) for doc in _read_corpus(args, args.tag_field))
     label, freq = evaluation.majority_class(gold)
     doc = {"majority_class": label, "baseline_accuracy": freq}
@@ -207,6 +231,8 @@ def _cmd_baseline(args: argparse.Namespace) -> None:
 
 
 def _cmd_chisq(args: argparse.Namespace) -> None:
+    from . import evaluation
+
     result = evaluation.chi_square_gof(args.observed, args.expected)
     p_display = _format_p_value(result.p_value)
     doc = {**result._asdict(), "p_display": p_display}
@@ -219,6 +245,8 @@ def _cmd_chisq(args: argparse.Namespace) -> None:
 
 
 def _cmd_synth(args: argparse.Namespace) -> None:
+    from . import corpus, synth
+
     pools = []
     for path in (args.source_a, args.source_b):
         with open_text(path) as fh:

@@ -6,7 +6,6 @@ codes). CSV with configurable column names is accepted on input.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import random
 from collections import Counter
@@ -127,6 +126,8 @@ def iter_load(
 def _csv_records(
     fh: IO[str], text_field: str, id_field: str | None
 ) -> Iterator[tuple[int, dict]]:
+    import csv  # here, so that a JSONL run never loads it
+
     try:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:

@@ -12,8 +12,10 @@ import os
 import stat
 import sys
 from contextlib import contextmanager, nullcontext
+from functools import cache
+from itertools import repeat
 from pathlib import Path
-from typing import IO, Any, ContextManager, Iterable, Iterator
+from typing import IO, Any, Callable, ContextManager, Iterable, Iterator
 
 _TEXT_MODES = {
     "r": {"encoding": "utf-8-sig", "newline": ""},
@@ -105,11 +107,20 @@ def _reject_constant(name: str) -> float:
 
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant)
 _ENCODER = json.JSONEncoder(ensure_ascii=False, allow_nan=False)
-# _ENCODER's C encoder, built once: ``encode`` builds a new one per call. It keeps
-# no circular-reference markers; codemix encodes only the acyclic trees it builds.
-_ENCODE = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
-    None, _ENCODER.default, json.encoder.encode_basestring, None, ": ", ", ", False, False, False
-)
+
+
+def _c_encoder(item_separator: str, sort_keys: bool) -> Any:
+    """json's C encoder with _ENCODER's policy and these separators, or None where json
+    has none (as on PyPy). ``encode`` builds a new one per call; this one is built once
+    and keeps no circular-reference markers, as codemix encodes only acyclic trees.
+    """
+    make = json.encoder.c_make_encoder
+    return make and make(None, _ENCODER.default, json.encoder.encode_basestring, None, ": ",
+                         item_separator, sort_keys, False, False)
+
+
+_ENCODE = _c_encoder(", ", False)
+_CONTAINERS = (list, tuple, dict)
 _JSON_SPACE = " \t\n\r"  # JSON whitespace; a bare str.strip() would also take \x0b, \x0c and U+00A0
 
 
@@ -133,11 +144,60 @@ def loads(text: str) -> Any:
         raise ValueError("nested too deeply") from exc
 
 
-def dumps(obj: Any, **layout: Any) -> str:
-    """Strict JSON text with non-ASCII kept; ``layout`` is e.g. indent or sort_keys."""
-    if not layout:
+def dumps(obj: Any, *, indent: int | str | None = None, sort_keys: bool = False) -> str:
+    """Strict JSON text with non-ASCII kept.
+
+    The text is ``json.dumps(obj, ensure_ascii=False, allow_nan=False,
+    indent=indent, sort_keys=sort_keys)``, byte for byte.
+    """
+    if indent is None and not sort_keys:
         return "".join(_ENCODE(obj, 0)) if _ENCODE else _ENCODER.encode(obj)
-    return json.dumps(obj, ensure_ascii=False, allow_nan=False, **layout)
+    if indent is None:
+        return _encoder(", ", True)(obj)
+    return _indented(obj, indent if isinstance(indent, str) else " " * indent, sort_keys, 0)
+
+
+@cache  # one per separator in use: a layout's nesting depth bounds them
+def _encoder(item_separator: str, sort_keys: bool) -> Callable[[Any], str]:
+    """A strict encoder of whole trees that puts ``item_separator`` between items."""
+    encode = _c_encoder(item_separator, sort_keys)
+    if encode:
+        return lambda obj: "".join(encode(obj, 0))
+    return json.JSONEncoder(ensure_ascii=False, allow_nan=False, sort_keys=sort_keys,
+                            separators=(item_separator, ": ")).encode
+
+
+def _indented(obj: Any, indent: str, sort_keys: bool, depth: int) -> str:
+    """``obj``, ``depth`` containers deep, as json's indenting encoder writes it.
+
+    A container of scalars is one call of an encoder whose item separator
+    carries the newline and the items' indent; a container of containers
+    joins its items here.
+    """
+    if not isinstance(obj, _CONTAINERS):
+        return dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    newline = "\n" + indent * (depth + 1)
+    values = obj.values() if isinstance(obj, dict) else obj
+    if not any(map(issubclass, set(map(type, values)), repeat(_CONTAINERS))):  # each type once
+        text = _encoder("," + newline, sort_keys)(obj)
+        return f"{text[0]}{newline}{text[1:-1]}\n{indent * depth}{text[-1]}"
+    if isinstance(obj, dict):
+        items = sorted(obj.items()) if sort_keys else obj.items()
+        parts = [f"{_key(k)}: {_indented(v, indent, sort_keys, depth + 1)}" for k, v in items]
+        brackets = "{}"
+    else:
+        parts = [_indented(v, indent, sort_keys, depth + 1) for v in obj]
+        brackets = "[]"
+    return f"{brackets[0]}{newline}{(',' + newline).join(parts)}\n{indent * depth}{brackets[1]}"
+
+
+def _key(key: Any) -> str:
+    """A dict key as json writes it: a string, or a scalar's JSON text in quotes."""
+    if not isinstance(key, (str, int, float)) and key is not None:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    return json.encoder.encode_basestring(key if isinstance(key, str) else dumps(key))
 
 
 def write_jsonl(records: Iterable[dict], sink: str | Path | IO[str]) -> None:

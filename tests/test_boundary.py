@@ -11,8 +11,9 @@ or ``type(x) is not int`` itself. errors defines one exception class per
 kind of fault, and no module adds another; beside them it holds only
 check_int and ``brief``, which renders a value for a message. The package
 imports a module only when one of its public names is first used, so
-importing a module loads no more than that module needs, and the CLI loads
-nothing outside the standard library. cli.run decides every exit status, so
+importing a module loads no more than that module needs, the CLI loads
+nothing outside the standard library, and a CLI subcommand loads only the
+modules it runs. cli.run decides every exit status, so
 no subcommand handler and not ``_report`` returns a value.
 """
 import ast
@@ -172,6 +173,40 @@ def test_cli_needs_only_the_standard_library():
     """The README promises no dependency beyond the standard library."""
     top_level = {name.partition(".")[0] for name in loaded_after("import codemix.cli", prefix="")}
     assert top_level - sys.stdlib_module_names - {"__main__"} == {"codemix"}  # __main__: the -c program
+
+
+#: What neither a train nor a detect child needs: the evaluation layers, synth and the CSV reader.
+NOT_FOR_DETECT = {"codemix.evaluation", "codemix.special", "codemix.synth", "csv"}
+
+
+def cli_run(*argv: str) -> str:
+    """A statement that runs the CLI on ``argv`` and asserts a zero exit status."""
+    return f"from codemix import cli\nassert cli.run({list(argv)!r}) == 0"
+
+
+def test_train_loads_no_corpus_or_evaluation_layer(tmp_path):
+    text = tmp_path / "zu.txt"
+    text.write_text("sawubona mngane\nngiyabonga kakhulu\n", encoding="utf-8")
+    loaded = loaded_after(cli_run("train", "--lang", "zu", "--input", str(text),
+                                  "--out", str(tmp_path / "zu.profile")), prefix="")
+    assert "codemix.langid" in loaded
+    assert loaded.isdisjoint(NOT_FOR_DETECT | {"codemix.corpus"})
+
+
+def test_detect_loads_the_corpus_layer_and_no_evaluation_layer(tmp_path):
+    from codemix import cli
+
+    text = tmp_path / "zu.txt"
+    text.write_text("sawubona mngane\nngiyabonga kakhulu\n", encoding="utf-8")
+    (tmp_path / "profiles").mkdir()
+    assert cli.run(["train", "--lang", "zu", "--input", str(text),
+                    "--out", str(tmp_path / "profiles" / "zu.profile")]) == 0
+    (tmp_path / "empty.jsonl").write_text("", encoding="utf-8")
+    loaded = loaded_after(cli_run("detect", "--profiles", str(tmp_path / "profiles"),
+                                  "--input", str(tmp_path / "empty.jsonl"),
+                                  "--out", str(tmp_path / "out.jsonl")), prefix="")
+    assert "codemix.corpus" in loaded
+    assert loaded.isdisjoint(NOT_FOR_DETECT)
 
 
 def valued_returns(source: str) -> list[str]:

@@ -1,4 +1,5 @@
 """codemix.fileio: the text-file policy and the strict JSON codec."""
+import functools
 import io
 import json
 import math
@@ -57,9 +58,22 @@ def test_dumps_is_strict_and_keeps_non_ascii():
         fileio.dumps([math.nan])
 
 
-#: The C encoder dumps builds once, and None: the fallback to _ENCODER.encode where json has no
-#: C encoder (as on PyPy).
-ENCODERS = [fileio._ENCODE, None]
+C_MAKE_ENCODER, C_ENCODE = json.encoder.c_make_encoder, fileio._ENCODE
+#: dumps' layouts: compact, a profile's and a report's.
+LAYOUTS = [{}, {"indent": 1, "sort_keys": True}, {"indent": 2}]
+
+
+def each_encoder(monkeypatch):
+    """Make dumps build on json's C encoder, then on json's Python one, as where json has no
+    C encoder (as on PyPy); yield after each. The encoders built meanwhile are dropped."""
+    try:
+        for make, encode in ((C_MAKE_ENCODER, C_ENCODE), (None, None)):
+            monkeypatch.setattr(json.encoder, "c_make_encoder", make)
+            monkeypatch.setattr(fileio, "_ENCODE", encode)
+            fileio._encoder.cache_clear()
+            yield
+    finally:
+        fileio._encoder.cache_clear()
 
 
 @pytest.mark.parametrize("obj", [
@@ -68,23 +82,38 @@ ENCODERS = [fileio._ENCODE, None]
     {1: "int key", 1.5: "float key", True: "bool key", None: "null key"},
     "a top-level str, ünïcode and \U0001F600",
     0, -1.0, 10**400, None,
+    {}, [],
+    {"classes": ("en", "en,zu", "zu"), "matrix": ((3, 0, 1), (0, 2, 0), (1, 0, 5)), "total": 12},
+    {"per_class": {"zu": {"precision": 0.75, "recall": 1.0, "support": 3}, "en": {"support": 0}}},
+    {"version": 1, "lang": "zu", "n_min": 1, "n_max": 2, "alpha": 0.5,
+     "total_per_order": {"1": 0, "2": 0}, "counts": {}},
+    {"ñ": {"\"q\\": [1, "é"], "\n\u2028": {}}, "😀": "x", "\x00": [{"é": None, 2: [3], None: {"k": 1.5}, False: [], 0.5: [True]}]},
 ])
 def test_dumps_equals_strict_json_dumps(obj, monkeypatch):
-    for encode in ENCODERS:
-        monkeypatch.setattr(fileio, "_ENCODE", encode)
-        assert fileio.dumps(obj) == json.dumps(obj, ensure_ascii=False, allow_nan=False)
+    def dumped(dump, layout):  # the text, or the error's type: mixed keys do not sort
+        try:
+            return dump(obj, **layout)
+        except TypeError:
+            return TypeError
+
+    strict = functools.partial(json.dumps, ensure_ascii=False, allow_nan=False)
+    for _ in each_encoder(monkeypatch):
+        for layout in LAYOUTS:
+            assert dumped(fileio.dumps, layout) == dumped(strict, layout)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_dumps_rejects_non_finite_anywhere(value, monkeypatch):
     for obj in (value, [value], {"a": {"b": [1, value]}}):
-        with pytest.raises(ValueError, match="not JSON compliant") as strict:
-            json.dumps(obj, ensure_ascii=False, allow_nan=False)
-        for encode in ENCODERS:
-            monkeypatch.setattr(fileio, "_ENCODE", encode)
+        for _ in each_encoder(monkeypatch):
+            with pytest.raises(ValueError, match="not JSON compliant") as strict:
+                json.dumps(obj, ensure_ascii=False, allow_nan=False)
             with pytest.raises(ValueError) as caught:
                 fileio.dumps(obj)
             assert str(caught.value) == str(strict.value)
+            for layout in LAYOUTS[1:]:  # only the type: 3.11's Python encoder appends the value
+                with pytest.raises(ValueError):
+                    fileio.dumps(obj, **layout)
 
 
 def test_open_text_policy(tmp_path):
