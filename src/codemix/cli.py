@@ -10,9 +10,11 @@ seeds) produces byte-identical machine output.
 ``run`` decides every exit status: 0 once a handler returns, 1 on an
 operational error (bad input or file), 2 on a usage error (bad flags).
 
-At module level the CLI imports only what ``build_parser`` reads for its
-defaults; each handler imports the modules it runs, so a ``train`` child
-never compiles the corpus, evaluation or synth layers.
+At module level the CLI imports only ``defaults``, ``errors`` and ``fileio``;
+``build_parser`` reads its flags' defaults from ``defaults``, and each
+handler imports the modules it runs. So a ``train`` child never compiles
+``detector`` or the corpus, evaluation or synth layers, and the corpus
+commands other than ``detect`` never compile ``langid`` or ``detector``.
 """
 from __future__ import annotations
 
@@ -20,12 +22,13 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-from . import detector, langid
+from .defaults import DEFAULT_ALPHA, DEFAULT_CHUNKS, DEFAULT_MIN_CHARS, DEFAULT_N_MAX, DEFAULT_N_MIN
 from .errors import CodemixError, ParseError
 from .fileio import dumps, open_text, write_jsonl
 
 if TYPE_CHECKING:
     from .corpus import Document
+    from .detector import DetectionResult
     from .tags import LanguageTag
 
 SEED_DEFAULT = 0
@@ -99,6 +102,8 @@ def _read_corpus(
 
 
 def _cmd_train(args: argparse.Namespace) -> None:
+    from . import langid
+
     profile = langid.train(
         _lines(args.input), args.lang, n_min=args.nmin, n_max=args.nmax, alpha=args.alpha
     )
@@ -106,6 +111,8 @@ def _cmd_train(args: argparse.Namespace) -> None:
 
 
 def _cmd_identify(args: argparse.Namespace) -> None:
+    from . import langid
+
     profiles = langid.load_profile_set(args.profiles)
     with open_text(args.out, "w") as out:
         for i, line in enumerate(_lines(args.input)):
@@ -117,7 +124,7 @@ def _cmd_identify(args: argparse.Namespace) -> None:
                 out.write(f"{i}\t{predictions[0].lang}\t{ranking}\n")
 
 
-def _detection_record(record: dict, result: detector.DetectionResult) -> dict:
+def _detection_record(record: dict, result: DetectionResult) -> dict:
     """``record``, a document's own fields, with ``result`` added."""
     record["pred"] = result.tag.render()
     record["code_switched"] = result.code_switched
@@ -126,7 +133,7 @@ def _detection_record(record: dict, result: detector.DetectionResult) -> dict:
 
 
 def _cmd_detect(args: argparse.Namespace) -> None:
-    from . import corpus
+    from . import corpus, detector, langid
 
     detector.check_chunks(args.chunks)  # before any document, so even an empty corpus fails
     profiles = langid.load_profile_set(args.profiles)
@@ -273,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--format", choices=("table", "json"), default="table")
     scoring = argparse.ArgumentParser(add_help=False)
     scoring.add_argument("--profiles", required=True, help="directory of *.profile files")
-    scoring.add_argument("--min-chars", type=int, default=langid.DEFAULT_MIN_CHARS)
+    scoring.add_argument("--min-chars", type=int, default=DEFAULT_MIN_CHARS)
     corpus_in = argparse.ArgumentParser(add_help=False)
     corpus_in.add_argument("--input", required=True, help="corpus file, or - for stdin")
     corpus_in.add_argument("--input-format", choices=("jsonl", "csv"), default="jsonl")
@@ -290,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lang", required=True, help="language code, e.g. zu")
     p.add_argument("--input", required=True, help="training text, one line per example (- for stdin)")
     p.add_argument("--out", required=True, help="profile file to write")
-    p.add_argument("--nmin", type=int, default=langid.DEFAULT_N_MIN)
-    p.add_argument("--nmax", type=int, default=langid.DEFAULT_N_MAX)
-    p.add_argument("--alpha", type=float, default=langid.DEFAULT_ALPHA)
+    p.add_argument("--nmin", type=int, default=DEFAULT_N_MIN)
+    p.add_argument("--nmax", type=int, default=DEFAULT_N_MAX)
+    p.add_argument("--alpha", type=float, default=DEFAULT_ALPHA)
 
     p = command("identify", _cmd_identify, "identify the language of each input line",
                 scoring, report)
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("detect", _cmd_detect, "run chunked code-switching detection over a corpus",
                 scoring, corpus_in, out)
-    p.add_argument("--chunks", type=int, default=detector.DEFAULT_CHUNKS)
+    p.add_argument("--chunks", type=int, default=DEFAULT_CHUNKS)
 
     command("dedupe", _cmd_dedupe, "drop documents whose normalized text repeats", corpus_in, out)
 

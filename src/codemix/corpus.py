@@ -12,7 +12,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Any, Callable, IO, Iterable, Iterator, NamedTuple, Sequence
 
-from . import fileio, textnorm
+from . import fileio
 from .errors import EmptyInput, InvalidConfig, ParseError, brief, check_int
 from .tags import OTHER_CLASS, TAG_TABLE_SIZE, LanguageTag, check_code, tally_classes
 
@@ -160,6 +160,8 @@ def save_jsonl(docs: Iterable[Document], sink: str | Path | IO[str]) -> None:
 def dedupe(docs: Iterable[Document]) -> Iterator[Document]:
     """Yield the first document of each normalized-text equivalence class, in
     input order; only the set of normalized texts is held in memory."""
+    from . import textnorm  # here, so that no other corpus command loads it
+
     seen: set[str] = set()
     for doc in docs:
         key = textnorm.normalize(doc.text)

@@ -11,14 +11,13 @@ from functools import partial
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 from . import langid, textnorm
+from .defaults import DEFAULT_CHUNKS, DEFAULT_MIN_CHARS
 from .errors import EmptyInput, check_int
 from .langid import Prediction, ProfileSet
 from .tags import TAG_TABLE_SIZE, UND, UND_TAG, LanguageTag
 
 if TYPE_CHECKING:
     from .corpus import Document
-
-DEFAULT_CHUNKS = 4
 
 
 class ChunkResult(NamedTuple):
@@ -121,7 +120,7 @@ def detect(
     doc: "Document",
     profiles: ProfileSet,
     k: int = DEFAULT_CHUNKS,
-    min_chars: int = langid.DEFAULT_MIN_CHARS,
+    min_chars: int = DEFAULT_MIN_CHARS,
 ) -> DetectionResult:
     """Run the full pipeline on one document.
 
@@ -150,7 +149,7 @@ def detect_all(
     docs: Iterable["Document"],
     profiles: ProfileSet,
     k: int = DEFAULT_CHUNKS,
-    min_chars: int = langid.DEFAULT_MIN_CHARS,
+    min_chars: int = DEFAULT_MIN_CHARS,
 ) -> list[DetectionResult]:
     """Detect a batch of documents, in input order; an empty batch checks ``k`` and ``min_chars`` too."""
     check_chunks(k)

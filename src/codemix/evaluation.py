@@ -14,7 +14,7 @@ from functools import reduce
 from operator import add
 from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import label_distribution
+from . import corpus
 from .errors import EmptyInput, InvalidConfig, brief, check_int
 from .special import chi2_sf
 from .tags import OTHER_CLASS, LanguageTag, tally_classes
@@ -114,7 +114,7 @@ def majority_class(gold: Iterable[LanguageTag]) -> tuple[str, float]:
 
     ``gold`` is read once; EmptyInput when it holds no tags.
     """
-    counts = label_distribution(gold)
+    counts = corpus.label_distribution(gold)
     label = min(counts, key=lambda c: (-counts[c], c))
     return label, counts[label] / sum(counts.values())
 

@@ -21,16 +21,12 @@ from pathlib import Path
 from typing import Iterable, NamedTuple
 
 from . import fileio, textnorm
+from .defaults import DEFAULT_ALPHA, DEFAULT_MIN_CHARS, DEFAULT_N_MAX, DEFAULT_N_MIN
 from .errors import EmptyInput, InvalidConfig, ParseError, brief
 from .tags import UND, check_code
 
 PROFILE_VERSION = 1
 PROFILE_SUFFIX = ".profile"
-
-DEFAULT_N_MIN = 1
-DEFAULT_N_MAX = 4
-DEFAULT_ALPHA = 0.5
-DEFAULT_MIN_CHARS = 3
 
 _TRAIN_BLOCK = 1024  # texts joined per counting pass; bounds train's memory on a streamed file
 

@@ -1,4 +1,8 @@
+import importlib
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +15,8 @@ LETTERS_C = "abcdefghijklm"
 LETTERS_D = "hijklmnopqrst"
 
 POOL_SEED = 20240615
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def make_pool(rng, letters, n_words=150, min_len=4, max_len=8):
@@ -54,3 +60,28 @@ def trained_profiles(synthetic_languages):
         for lang, (_, lines) in synthetic_languages.items()
     }
     return langid.ProfileSet(profiles)
+
+
+@pytest.fixture(scope="session")
+def bench():
+    """bench/'s ``checks``, ``inputs`` and ``run`` modules, imported unedited."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        return SimpleNamespace(**{name: importlib.import_module(name) for name in ("checks", "inputs", "run")})
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+@pytest.fixture(scope="session")
+def bench_pipeline(bench, tmp_path_factory):
+    """bench/run.py's ``Pipeline`` for a workload at seed 1, its inputs generated once per session."""
+    pipelines = {}
+
+    def pipeline(name):
+        if name not in pipelines:
+            work = tmp_path_factory.mktemp(name)
+            workload = bench.inputs.WORKLOADS[name]
+            pipelines[name] = bench.run.Pipeline(workload, bench.inputs.generate(workload, 1, work), 1, work,
+                                                 bench.checks.Ledger())
+        return pipelines[name]
+    return pipeline

@@ -13,7 +13,8 @@ check_int and ``brief``, which renders a value for a message. The package
 imports a module only when one of its public names is first used, so
 importing a module loads no more than that module needs, the CLI loads
 nothing outside the standard library, and a CLI subcommand loads only the
-modules it runs. cli.run decides every exit status, so
+modules it runs: no corpus command but detect loads the scorer, and only
+detect and dedupe load textnorm. cli.run decides every exit status, so
 no subcommand handler and not ``_report`` returns a value.
 """
 import ast
@@ -207,6 +208,53 @@ def test_detect_loads_the_corpus_layer_and_no_evaluation_layer(tmp_path):
                                   "--out", str(tmp_path / "out.jsonl")), prefix="")
     assert "codemix.corpus" in loaded
     assert loaded.isdisjoint(NOT_FOR_DETECT)
+
+
+#: The scorer's modules: of the CLI's commands only detect loads both, and train and identify langid.
+SCORER = {"codemix.langid", "codemix.detector"}
+
+
+@pytest.fixture
+def tagged_corpus(tmp_path):
+    """A two-record corpus with gold ``tags`` and predicted ``pred`` fields."""
+    path = tmp_path / "tagged.jsonl"
+    path.write_text('{"id": "a", "text": "sawubona", "tags": "zu", "pred": "zu"}\n'
+                    '{"id": "b", "text": "hello there", "tags": "en", "pred": "en,zu"}\n',
+                    encoding="utf-8")
+    return path
+
+
+def test_importing_the_cli_leaves_out_the_scorer():
+    assert loaded_after("import codemix.cli").isdisjoint(SCORER)
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("evaluate", ()),
+    ("sample", ("--n", "1")),
+    ("distribution", ()),
+    ("baseline", ()),
+])
+def test_corpus_command_loads_neither_the_scorer_nor_textnorm(tagged_corpus, command, flags):
+    loaded = loaded_after(cli_run(command, "--input", str(tagged_corpus), *flags,
+                                  "--out", str(tagged_corpus.with_suffix(".out"))))
+    assert "codemix.corpus" in loaded
+    assert loaded.isdisjoint(SCORER | {"codemix.textnorm"})
+
+
+def test_dedupe_loads_textnorm_and_not_the_scorer(tagged_corpus):
+    loaded = loaded_after(cli_run("dedupe", "--input", str(tagged_corpus),
+                                  "--out", str(tagged_corpus.with_suffix(".out"))))
+    assert "codemix.textnorm" in loaded
+    assert loaded.isdisjoint(SCORER)
+
+
+def test_train_loads_no_detector(tmp_path):
+    text = tmp_path / "zu.txt"
+    text.write_text("sawubona mngane\n", encoding="utf-8")
+    loaded = loaded_after(cli_run("train", "--lang", "zu", "--input", str(text),
+                                  "--out", str(tmp_path / "zu.profile")))
+    assert "codemix.langid" in loaded
+    assert "codemix.detector" not in loaded
 
 
 def valued_returns(source: str) -> list[str]:

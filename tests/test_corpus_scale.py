@@ -8,15 +8,11 @@ faster corpus path that changes one byte of these outputs fails here, and
 so does float drift in scoring on the 8-language inputs.
 """
 import hashlib
-import importlib
-import sys
 from pathlib import Path
 
 import pytest
 
 from codemix import cli
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 #: sha256 of the generated corpus; a change here is a change of the inputs, not of codemix.
 CORPUS_SHA256 = "633667c2d1fe3ef65e6dbb26463bc4f7c76cdff74ce77536480f6c9c36ec9ccd"
@@ -36,25 +32,6 @@ DETECT_DIGESTS = {
     "multi-8l-k12": "e9d82147a8aed248cb68981411008d8e36ba40e53bdd857dcf9034a25f50f81b",
     "bulk-eval": "d4411bf51bda04bee220e62c15e66d50f6392c242a8fbeca480212c1bf584e0e",
 }
-
-
-@pytest.fixture(scope="module")
-def bench_pipeline(tmp_path_factory):
-    """bench/run.py's ``Pipeline`` for a workload at seed 1, its inputs generated once per module."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        checks, inputs, run = [importlib.import_module(name) for name in ("checks", "inputs", "run")]
-    finally:
-        sys.path.remove(str(BENCH))
-    pipelines = {}
-
-    def pipeline(name):
-        if name not in pipelines:
-            work = tmp_path_factory.mktemp(name)
-            workload = inputs.WORKLOADS[name]
-            pipelines[name] = run.Pipeline(workload, inputs.generate(workload, 1, work), 1, work, checks.Ledger())
-        return pipelines[name]
-    return pipeline
 
 
 @pytest.fixture(scope="module")

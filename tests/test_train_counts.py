@@ -5,14 +5,11 @@ which counts one n_max-codepoint window per position and derives the shorter
 grams once per distinct window. Each test holds it to ``Counter`` over
 ``extract_ngrams`` of each text: on random Unicode, every order range, texts
 shorter than n_min, no texts, more texts than two blocks, and the training
-files of each benchmark workload at seed 1, built by ``bench/inputs.py`` as
-``test_corpus_scale.py`` builds them.
+files of each benchmark workload at seed 1, built by ``bench/inputs.py``
+through conftest's ``bench_pipeline``, as ``test_corpus_scale.py`` builds them.
 """
-import importlib
 import random
-import sys
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -20,8 +17,6 @@ from codemix import langid
 from codemix.langid import _count_ngrams, extract_ngrams, train
 from codemix.textnorm import normalize
 from oracles import random_unicode_string
-
-BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 ORDERS = [(n_min, n_max) for n_min in range(1, 7) for n_max in range(n_min, 7)]
 
@@ -76,17 +71,11 @@ def test_more_texts_than_two_blocks():
 
 
 @pytest.fixture(scope="module")
-def bench_training_lines(tmp_path_factory):
+def bench_training_lines(bench, bench_pipeline):
     """Each workload's seed-1 training files, as lists of lines, keyed by workload and language."""
-    sys.path.insert(0, str(BENCH))
-    try:
-        inputs = importlib.import_module("inputs")
-    finally:
-        sys.path.remove(str(BENCH))
     files = {}
-    for name, workload in inputs.WORKLOADS.items():
-        generated = inputs.generate(workload, 1, tmp_path_factory.mktemp(name))
-        for lang, path in generated.train_files.items():
+    for name in bench.inputs.WORKLOADS:
+        for lang, path in bench_pipeline(name).inp.train_files.items():
             files[name, lang] = path.read_text(encoding="utf-8").splitlines()
     return files
 
